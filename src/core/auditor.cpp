@@ -197,8 +197,9 @@ Auditor::BatchShared Auditor::build_shared(const AuditLog& log) const {
     }
   }
 
-  // Deduplicate for the decision sweep: each *distinct* disclosed set is
-  // decided once per audited property, in log order.
+  // Deduplicate for the decision sweep: each distinct (query text, answer)
+  // key is decided once per audited property, in log order. Keys that
+  // compile to one set meet again in the pair memo.
   shared.entry_slot.resize(entries.size());
   {
     std::unordered_map<std::string_view, std::size_t> slot_of;
@@ -289,9 +290,10 @@ AuditReport Auditor::audit_one(const AuditLog& log,
     }
   }
 
-  // Decide each distinct disclosed set, fanning out across the pool.
-  // Deduplication keeps stage counters (and wall clock) identical for every
-  // thread count.
+  // Decide each distinct disclosure key, fanning out across the pool. Two
+  // keys may compile to one set (`!x` answered yes, `x` answered no); the
+  // context's single-flight memo decides it once and counts the other as a
+  // hit, so every counter is identical for every thread count.
   std::vector<EngineDecision> decisions;
   {
     obs::ScopedSpan decide_span("audit.decide-disclosures");

@@ -53,24 +53,47 @@ std::size_t AuditContext::compile_count() const {
   return static_cast<std::size_t>(compile_misses_->value());
 }
 
-std::optional<EngineDecision> AuditContext::find_memo(const WorldSet& a,
-                                                      const WorldSet& b) const {
+EngineDecision AuditContext::memoized(
+    const WorldSet& a, const WorldSet& b,
+    const std::function<EngineDecision()>& decide) {
+  using State = MemoEntry::State;
   memo_lookups_->add(1);
-  std::lock_guard<std::mutex> lock(memo_mutex_);
-  auto it = memo_.find(PairKey{a, b});
-  if (it == memo_.end()) return std::nullopt;
-  memo_hits_c_->add(1);
-  return it->second;
+  MemoEntry* entry = nullptr;
+  {
+    std::unique_lock<std::mutex> lock(memo_mutex_);
+    auto [it, claimed] = memo_.try_emplace(PairKey{a, b});
+    entry = &it->second;
+    if (!claimed) {
+      memo_cv_.wait(lock, [entry] { return entry->state != State::kDeciding; });
+      if (entry->state == State::kDecided) {
+        memo_hits_c_->add(1);
+        return entry->decision;
+      }
+      entry->state = State::kDeciding;  // take over an abandoned claim
+    }
+  }
+  // Decide outside the lock: other pairs proceed, this pair's waiters sleep.
+  try {
+    EngineDecision decision = decide();
+    {
+      std::lock_guard<std::mutex> lock(memo_mutex_);
+      entry->decision = decision;
+      entry->state = State::kDecided;
+    }
+    memo_cv_.notify_all();
+    return decision;
+  } catch (...) {
+    {
+      std::lock_guard<std::mutex> lock(memo_mutex_);
+      entry->state = State::kAbandoned;
+    }
+    memo_cv_.notify_all();
+    throw;
+  }
 }
 
 std::size_t AuditContext::memo_hits() const {
   return static_cast<std::size_t>(memo_hits_c_->value());
-}
-
-void AuditContext::memoize(const WorldSet& a, const WorldSet& b,
-                           EngineDecision decision) {
-  std::lock_guard<std::mutex> lock(memo_mutex_);
-  memo_.emplace(PairKey{a, b}, std::move(decision));
 }
 
 void AuditContext::set_interval_oracle(std::shared_ptr<IntervalOracle> oracle) {

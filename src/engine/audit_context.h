@@ -1,10 +1,11 @@
-// Per-audit shared state: compiled-query caching, (A, B)-pair verdict
-// memoization, the prepared subcube interval oracle, and the per-audit
-// metrics registry every decision statistic is recorded into. One
+// Per-audit shared state: compiled-query caching, single-flight (A, B)-pair
+// verdict memoization, the prepared subcube interval oracle, and the
+// per-audit metrics registry every decision statistic is recorded into. One
 // AuditContext lives for the duration of one Auditor::audit() call and is
 // shared — thread-safely — by every worker deciding pairs for it.
 #pragma once
 
+#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -58,11 +59,20 @@ class AuditContext {
   std::size_t compile_count() const;
 
   // --- Pair-verdict memoization -------------------------------------------
-  /// The memoized decision for (a, b), if any.
-  std::optional<EngineDecision> find_memo(const WorldSet& a,
-                                          const WorldSet& b) const;
-  void memoize(const WorldSet& a, const WorldSet& b, EngineDecision decision);
-  /// Number of find_memo hits (cross-section reuse, e.g. a one-query user's
+  /// Single-flight memo: the decision for (a, b), looked up and claimed in
+  /// one step. The first caller of a pair claims it, runs `decide` and
+  /// memoizes the result. Every later caller, on any thread, gets that
+  /// decision and counts as a memo hit; while the claimant is still
+  /// deciding, they wait for it. So each pair runs `decide` once per context,
+  /// and the `engine.memo.*` and stage counters depend only on which pairs
+  /// were decided, never on thread timing. If `decide` throws, the exception
+  /// reaches the claimant and the claim is dropped: waiters wake and one of
+  /// them claims the pair afresh, as a serial caller after the failure
+  /// would. `decide` must not decide the same pair on this context (it would
+  /// wait for itself).
+  EngineDecision memoized(const WorldSet& a, const WorldSet& b,
+                          const std::function<EngineDecision()>& decide);
+  /// Number of memo hits (cross-section reuse, e.g. a one-query user's
   /// conjunction equals their single disclosure) — the `engine.memo.hits`
   /// counter.
   std::size_t memo_hits() const;
@@ -124,8 +134,18 @@ class AuditContext {
   mutable std::mutex compiled_mutex_;
   std::unordered_map<std::string, WorldSet> compiled_;
 
-  mutable std::mutex memo_mutex_;
-  std::unordered_map<PairKey, EngineDecision, PairKeyHash> memo_;
+  /// One pair's memo slot; `state` and `decision` are guarded by memo_mutex_.
+  /// Slots are never erased and unordered_map nodes never move, so a
+  /// waiter's pointer stays valid.
+  struct MemoEntry {
+    enum class State { kDeciding, kDecided, kAbandoned };
+    State state = State::kDeciding;  // the inserting caller holds the claim
+    EngineDecision decision;
+  };
+
+  std::mutex memo_mutex_;
+  std::condition_variable memo_cv_;  // signalled when any entry leaves kDeciding
+  std::unordered_map<PairKey, MemoEntry, PairKeyHash> memo_;
 
   std::shared_ptr<IntervalOracle> oracle_;
   std::optional<WorldSet> prepared_a_;

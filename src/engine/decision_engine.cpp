@@ -131,17 +131,20 @@ void DecisionEngine::register_stage(std::unique_ptr<CriterionStage> stage,
 EngineDecision DecisionEngine::decide(const WorldSet& a, const WorldSet& b,
                                       AuditContext& ctx) const {
   obs::ScopedSpan span("engine.decide");
-  if (std::optional<EngineDecision> memo = ctx.find_memo(a, b)) {
-    if (span.live()) span.attr("memo", "hit");
-    return *memo;
-  }
-  CascadeResult r = run_cascade(a, b, ctx, /*inc=*/nullptr);
+  bool ran = false;
+  EngineDecision decision = ctx.memoized(a, b, [&] {
+    ran = true;
+    return run_cascade(a, b, ctx, /*inc=*/nullptr).decision;
+  });
   if (span.live()) {
-    span.attr("verdict", to_string(r.decision.verdict));
-    span.attr("method", r.decision.method);
+    if (ran) {
+      span.attr("verdict", to_string(decision.verdict));
+      span.attr("method", decision.method);
+    } else {
+      span.attr("memo", "hit");
+    }
   }
-  ctx.memoize(a, b, r.decision);
-  return r.decision;
+  return decision;
 }
 
 EngineDecision DecisionEngine::decide_incremental(const WorldSet& a,

@@ -88,8 +88,10 @@ class DecisionEngine {
   void register_stage(std::unique_ptr<CriterionStage> stage,
                       std::size_t position);
 
-  /// Decides one (A, B) pair: memo lookup, product-prior projection, then
-  /// the stage cascade. Per-stage counters land in `ctx` when its slots were
+  /// Decides one (A, B) pair through the context's single-flight memo
+  /// (AuditContext::memoized): a pair already decided or being decided on
+  /// `ctx` is a memo hit; otherwise product-prior projection, then the stage
+  /// cascade. Per-stage counters land in `ctx` when its slots were
   /// configured with stage_names().
   EngineDecision decide(const WorldSet& a, const WorldSet& b,
                         AuditContext& ctx) const;
@@ -111,9 +113,10 @@ class DecisionEngine {
 
   /// Batch sweep: decides A against every set in `bs` in one pass, writing
   /// decisions[i] for bs[i]. With a pool the pairs fan out across its
-  /// workers (index-slot writes, so results — and, because decide() memoizes
-  /// through the shared ctx, every counter except wall time — are identical
-  /// at any worker count); without one they run inline in index order.
+  /// workers (index-slot writes, so results — and, because the shared ctx's
+  /// memo is single-flight, every counter except wall time, even when `bs`
+  /// repeats a set — are identical at any worker count); without one they
+  /// run inline in index order.
   std::vector<EngineDecision> decide_many(const WorldSet& a,
                                           std::span<const WorldSet* const> bs,
                                           AuditContext& ctx,

@@ -1,12 +1,22 @@
 // Tests for the DecisionEngine subsystem: stage-cascade parity with the
 // pre-engine decision paths, batch-audit determinism across thread counts,
-// per-audit caching, custom stage registration and the thread pool itself.
+// per-audit caching and the single-flight pair memo, custom stage
+// registration and the thread pool itself.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <cstdio>
+#include <cstdlib>
+#include <functional>
+#include <future>
 #include <memory>
+#include <mutex>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "core/audit_log.h"
@@ -391,6 +401,152 @@ TEST(DecisionEngine, RegisteredCustomStageRunsFirst) {
   ASSERT_FALSE(stats.empty());
   EXPECT_EQ(stats[0].name, "custom-veto");
   EXPECT_GT(stats[0].decisions, 0u);
+}
+
+/// Holds a GatedStage's first call until open(), and counts every call.
+struct Gate {
+  std::mutex mutex;
+  std::condition_variable cv;
+  bool is_open = false;
+  std::atomic<int> calls{0};
+
+  void open() {
+    {
+      std::lock_guard<std::mutex> lock(mutex);
+      is_open = true;
+    }
+    cv.notify_all();
+  }
+};
+
+/// Decides every pair Safe, like VetoStage, except that its first call waits
+/// for the gate and then, with `throw_first`, throws instead of deciding.
+class GatedStage : public CriterionStage {
+ public:
+  GatedStage(Gate& gate, bool throw_first)
+      : gate_(gate), throw_first_(throw_first) {}
+  std::string_view name() const override { return "gated"; }
+  StageDecision decide(const WorldSet&, const WorldSet&,
+                       AuditContext&) const override {
+    if (gate_.calls.fetch_add(1) == 0) {
+      std::unique_lock<std::mutex> lock(gate_.mutex);
+      gate_.cv.wait(lock, [&] { return gate_.is_open; });
+      if (throw_first_) throw std::runtime_error("gated stage failed");
+    }
+    StageDecision d;
+    d.verdict = Verdict::kSafe;
+    d.method = "gated";
+    return d;
+  }
+
+ private:
+  Gate& gate_;
+  bool throw_first_;
+};
+
+/// Polls `done` every millisecond for up to 30 s; returns whether it held.
+bool eventually(const std::function<bool()>& done) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (!done()) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
+}
+
+/// Two threads decide one (A, B) on one AuditContext, and they overlap for
+/// certain rather than when the timing allows: the gate holds the first
+/// caller inside the cascade until the second has looked the pair up.
+class SingleFlightMemo : public ::testing::Test {
+ protected:
+  /// What one decide() call returned: a decision or the stage's exception.
+  struct Outcome {
+    std::optional<EngineDecision> decision;
+    bool threw = false;
+  };
+
+  void overlap(bool throw_first) {
+    engine.register_stage(std::make_unique<GatedStage>(gate, throw_first), 0);
+    ctx.reset_stages(engine.stage_names());
+    std::future<Outcome> first_call = decide_async();
+    EXPECT_TRUE(eventually([&] { return gate.calls.load() == 1; }));
+    std::future<Outcome> second_call = decide_async();
+    EXPECT_TRUE(eventually([&] { return lookups.value() == 2; }));
+    gate.open();
+    first = finish(first_call);
+    second = finish(second_call);
+  }
+
+  /// engine.decide(a, b, ctx) on its own thread.
+  std::future<Outcome> decide_async() {
+    return std::async(std::launch::async, [this] {
+      Outcome out;
+      try {
+        out.decision = engine.decide(a, b, ctx);
+      } catch (const std::runtime_error&) {
+        out.threw = true;
+      }
+      return out;
+    });
+  }
+
+  /// The call's outcome. A caller still blocked after 30 s is stranded for
+  /// good, and no join of its thread could return, so the test aborts
+  /// rather than hang.
+  static Outcome finish(std::future<Outcome>& call) {
+    if (call.wait_for(std::chrono::seconds(30)) != std::future_status::ready) {
+      std::fprintf(stderr, "decide() still blocked after 30 s: the memo "
+                           "stranded a waiter\n");
+      std::abort();
+    }
+    return call.get();
+  }
+
+  Gate gate;
+  DecisionEngine engine{2, PriorAssumption::kUnrestricted};
+  AuditContext ctx;
+  const obs::Counter& lookups = ctx.metrics().counter("engine.memo.lookups");
+  const WorldSet a{2, {0b01, 0b11}};
+  const WorldSet b{2, {0b00, 0b01}};
+  Outcome first;
+  Outcome second;
+};
+
+// The second caller waits for the first's claim instead of running the
+// cascade again, and counts as a memo hit — what a serial repeat counts.
+TEST_F(SingleFlightMemo, WaiterCountsAsHitAndStageRunsOnce) {
+  overlap(/*throw_first=*/false);
+  ASSERT_TRUE(first.decision.has_value());
+  ASSERT_TRUE(second.decision.has_value());
+  EXPECT_EQ(first.decision->method, "gated");
+  EXPECT_EQ(second.decision->method, first.decision->method);
+  EXPECT_EQ(second.decision->verdict, first.decision->verdict);
+  EXPECT_EQ(gate.calls.load(), 1);
+  EXPECT_EQ(ctx.stage_stats().front().invocations, 1u);
+  EXPECT_EQ(ctx.memo_hits(), 1u);
+  EXPECT_EQ(lookups.value(), 2);
+}
+
+// A claimant whose cascade throws must not strand its waiter. The exception
+// reaches the claimant; the waiter takes the pair over and decides it, as a
+// serial caller after the failure would.
+TEST_F(SingleFlightMemo, ThrowingClaimantReleasesWaiter) {
+  overlap(/*throw_first=*/true);
+  for (const Outcome* o : {&first, &second}) {
+    EXPECT_NE(o->decision.has_value(), o->threw)
+        << "a caller must get exactly one of a decision or the exception";
+  }
+  EXPECT_TRUE(first.threw);
+  ASSERT_TRUE(second.decision.has_value());
+  EXPECT_EQ(second.decision->method, "gated");
+  EXPECT_EQ(gate.calls.load(), 2);
+  EXPECT_EQ(ctx.memo_hits(), 0u);
+  EXPECT_EQ(lookups.value(), 2);
+  // The pair the waiter took over is memoized like any other.
+  EXPECT_EQ(engine.decide(a, b, ctx).method, "gated");
+  EXPECT_EQ(ctx.memo_hits(), 1u);
+  EXPECT_EQ(gate.calls.load(), 2);
 }
 
 TEST(ThreadPool, CoversEveryIndexExactlyOnce) {
