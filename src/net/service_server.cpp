@@ -39,9 +39,9 @@ void ServiceServer::on_open(EventLoop::ConnId conn) {
 void ServiceServer::on_close(EventLoop::ConnId conn, const Status& why) {
   (void)why;
   clients_.erase(conn);
-  // Chained jobs from this connection still run (a request once parsed is
+  // Audits this connection submitted still run (a request once parsed is
   // processed, matching the blocking server); their responses drop on the
-  // floor in finish().
+  // floor in flush_ready().
   if (draining_ && loop_->connection_count() == 0) loop_->stop();
 }
 
@@ -81,38 +81,9 @@ void ServiceServer::on_line(EventLoop::ConnId conn, std::string line) {
     return;
   }
   switch (request.op) {
-    case Op::kAudit: {
-      Job job;
-      job.kind = Job::Kind::kAudit;
-      job.conn = conn;
-      job.slot = slot;
-      job.id = request.id;
-      job.request.user = request.user;
-      job.request.query_text = request.query;
-      job.request.answer = request.answer;
-      if (request.deadline_ms > 0) {
-        job.request.deadline = std::chrono::steady_clock::now() +
-                               std::chrono::milliseconds(request.deadline_ms);
-      }
-      enqueue_job(std::move(job));
+    case Op::kAudit:
+      start_audit(conn, slot, request);
       return;
-    }
-    case Op::kResetSession: {
-      // Rides the user's chain so a reset cannot overtake audits already
-      // accepted for the same user (replayed rebalances depend on this).
-      if (chains_.find(request.user) != chains_.end()) {
-        Job job;
-        job.kind = Job::Kind::kReset;
-        job.conn = conn;
-        job.slot = slot;
-        job.id = request.id;
-        job.request.user = request.user;
-        enqueue_job(std::move(job));
-        return;
-      }
-      finish(conn, slot, dispatch_inline(request));
-      return;
-    }
     case Op::kShutdown: {
       WireResponse response;
       response.id = request.id;
@@ -142,6 +113,7 @@ WireResponse ServiceServer::dispatch_inline(const WireRequest& request) {
           obs::metrics_to_json(service_->metrics_snapshot());
       break;
     case Op::kResetSession: {
+      // Takes effect after the user's audits admitted before it.
       const Status s = service_->reset_session(request.user);
       response.ok = s.ok();
       if (!s.ok()) {
@@ -165,79 +137,27 @@ WireResponse ServiceServer::dispatch_inline(const WireRequest& request) {
   return response;
 }
 
-void ServiceServer::enqueue_job(Job job) {
-  const std::string user = job.request.user;
-  UserChain& chain = chains_[user];
-  if (chain.in_flight || !chain.waiting.empty()) {
-    chain.waiting.push_back(std::move(job));
-    return;
+void ServiceServer::start_audit(EventLoop::ConnId conn,
+                                const std::shared_ptr<Slot>& slot,
+                                const WireRequest& request) {
+  service::AuditRequest audit;
+  audit.user = request.user;
+  audit.query_text = request.query;
+  audit.answer = request.answer;
+  if (request.deadline_ms > 0) {
+    audit.deadline = std::chrono::steady_clock::now() +
+                     std::chrono::milliseconds(request.deadline_ms);
   }
-  if (job.kind == Job::Kind::kAudit) {
-    chain.in_flight = true;
-    start_audit(std::move(job));
-    return;
-  }
-  // A reset with an idle chain runs inline; the freshly created chain entry
-  // is empty, so drop it again.
-  chains_.erase(user);
-  WireRequest request;
-  request.op = Op::kResetSession;
-  request.id = job.id;
-  request.user = user;
-  finish(job.conn, job.slot, dispatch_inline(request));
-}
-
-void ServiceServer::start_audit(Job job) {
-  const std::string user = job.request.user;
-  const EventLoop::ConnId conn = job.conn;
-  const std::shared_ptr<Slot> slot = job.slot;
-  const std::uint64_t id = job.id;
+  const std::uint64_t id = request.id;
   service_->submit_async(
-      std::move(job.request),
-      [this, user, conn, slot, id](service::AuditResponse response) {
+      std::move(audit), [this, conn, slot, id](service::AuditResponse response) {
         // Worker thread (or inline on rejection): hop back to the loop.
         auto boxed = std::make_shared<service::AuditResponse>(
             std::move(response));
-        loop_->post([this, user, conn, slot, id, boxed] {
-          complete_audit(user, conn, slot, id, std::move(*boxed));
+        loop_->post([this, conn, slot, id, boxed] {
+          finish(conn, slot, service::make_audit_response(id, *boxed));
         });
       });
-}
-
-void ServiceServer::complete_audit(const std::string& user,
-                                   EventLoop::ConnId conn,
-                                   const std::shared_ptr<Slot>& slot,
-                                   std::uint64_t id,
-                                   service::AuditResponse response) {
-  finish(conn, slot, service::make_audit_response(id, response));
-  auto it = chains_.find(user);
-  if (it != chains_.end()) {
-    it->second.in_flight = false;
-    advance_chain(user);
-  }
-}
-
-void ServiceServer::advance_chain(const std::string& user) {
-  for (;;) {
-    auto it = chains_.find(user);
-    if (it == chains_.end() || it->second.in_flight) return;
-    if (it->second.waiting.empty()) {
-      chains_.erase(it);
-      return;
-    }
-    Job job = std::move(it->second.waiting.front());
-    it->second.waiting.pop_front();
-    if (job.kind == Job::Kind::kAudit) {
-      it->second.in_flight = true;
-      start_audit(std::move(job));
-      return;
-    }
-    WireRequest request;
-    request.op = Op::kResetSession;
-    request.id = job.id;
-    request.user = user;
-    finish(job.conn, job.slot, dispatch_inline(request));
-  }
 }
 
 void ServiceServer::finish(EventLoop::ConnId conn,

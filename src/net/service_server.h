@@ -11,12 +11,13 @@
 //     of order across users, so each connection keeps a FIFO of response
 //     slots; a finished response fills its slot and only the ready prefix is
 //     flushed. The shard router's per-upstream FIFO matching depends on this.
-//  2. Per-user disclosure order == arrival order. Two pipelined audits for
-//     the same user must not race through the service worker pool (absorb
-//     order defines the cumulative verdict — Section 3.3 composition). Each
-//     user gets a chain: one audit in flight, the rest queued here, and
-//     reset_session rides the same chain so a replayed rebalance
-//     (reset + audits) cannot interleave with a stale in-flight decision.
+//  2. Per-user disclosure order == arrival order (absorb order defines the
+//     cumulative verdict — Section 3.3 composition). The server hands audits
+//     to AuditService::submit_async and resets to reset_session() in arrival
+//     order, and the service's per-user admission FIFO runs one request per
+//     user at a time and applies a reset after that user's earlier audits,
+//     so a replayed rebalance (reset + audits) cannot interleave with a
+//     stale in-flight decision. The server keeps no per-user state.
 //
 // Shutdown (wire `shutdown` op or begin_shutdown()): answer, stop listening,
 // let every filled slot flush, close connections as they drain, and stop the
@@ -72,22 +73,6 @@ class ServiceServer : public EventLoop::Handler {
     std::deque<std::shared_ptr<Slot>> slots;
   };
 
-  /// A parsed audit/reset waiting its turn on the user's chain.
-  struct Job {
-    enum class Kind { kAudit, kReset };
-    Kind kind = Kind::kAudit;
-    EventLoop::ConnId conn = 0;
-    std::shared_ptr<Slot> slot;
-    std::uint64_t id = 0;
-    service::AuditRequest request;  ///< kAudit
-  };
-
-  /// Per-user serialization: at most one audit inside the service at a time.
-  struct UserChain {
-    bool in_flight = false;
-    std::deque<Job> waiting;
-  };
-
   explicit ServiceServer(service::AuditService* service) : service_(service) {}
 
   // EventLoop::Handler
@@ -103,22 +88,15 @@ class ServiceServer : public EventLoop::Handler {
   /// and nothing is left.
   void flush_ready(EventLoop::ConnId conn);
 
-  /// Queues `job` on its user's chain, starting it when the chain is idle.
-  void enqueue_job(Job job);
   /// Hands an audit to the service; completion posts back onto the loop.
-  void start_audit(Job job);
-  /// Runs queued jobs until an audit goes in flight or the chain empties.
-  void advance_chain(const std::string& user);
-  void complete_audit(const std::string& user, EventLoop::ConnId conn,
-                      const std::shared_ptr<Slot>& slot, std::uint64_t id,
-                      service::AuditResponse response);
+  void start_audit(EventLoop::ConnId conn, const std::shared_ptr<Slot>& slot,
+                   const service::WireRequest& request);
 
   service::WireResponse dispatch_inline(const service::WireRequest& request);
 
   service::AuditService* service_;
   std::unique_ptr<EventLoop> loop_;
   std::unordered_map<EventLoop::ConnId, ClientConn> clients_;
-  std::unordered_map<std::string, UserChain> chains_;
   bool draining_ = false;
 };
 

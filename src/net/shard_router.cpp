@@ -256,12 +256,20 @@ void ShardRouter::start_replay(const std::string& user, SessionState& state,
   f.kind = Forward::Kind::kReplay;
   f.user = user;
   up->fifo.push_back(f);
+}
 
-  for (const LogEntry& entry : state.log) {
-    // Serialized once at ack time; replay is a verbatim byte send.
-    loop_->send_line(up->conn, entry.replay_frame);
-    up->fifo.push_back(f);
-  }
+void ShardRouter::continue_replay(const std::string& user,
+                                  SessionState& state) {
+  Upstream* up = upstream_by_key(state.owner);
+  if (up == nullptr) return;  // rebalance_all restarts the replay
+  // Serialized once at ack time; replay is a verbatim byte send.
+  const LogEntry& entry =
+      state.log[state.log.size() - state.replay_outstanding];
+  loop_->send_line(up->conn, entry.replay_frame);
+  Forward f;
+  f.kind = Forward::Kind::kReplay;
+  f.user = user;
+  up->fifo.push_back(f);
 }
 
 void ShardRouter::finish_replay(const std::string& user, SessionState& state) {
@@ -449,6 +457,8 @@ void ShardRouter::handle_upstream_line(Upstream& upstream,
       }
       if (--it->second.replay_outstanding == 0) {
         finish_replay(f.user, it->second);
+      } else {
+        continue_replay(f.user, it->second);
       }
       break;
     }

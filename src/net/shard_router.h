@@ -15,7 +15,9 @@
 //  * Replay-based rebalance — when ownership moves (worker added, drained
 //    out, or died), the router holds the user's live traffic, sends the new
 //    owner `reset_session` + every logged (query, answer) disclosure in
-//    replayed-log mode, and only then releases held traffic. Composition
+//    replayed-log mode, one frame in flight at a time (the worker's bounded
+//    queue counts a session's waiting audits, so a long log sent at once
+//    would overflow it), and only then releases held traffic. Composition
 //    (Section 3.3: cumulative knowledge is the intersection of disclosed
 //    sets) makes the replayed session's state — and every subsequent
 //    verdict — identical to an unbroken one.
@@ -175,6 +177,8 @@ class ShardRouter : public EventLoop::Handler {
   /// Moves `user` to `new_owner`: reset + replayed log, traffic held.
   void start_replay(const std::string& user, SessionState& state,
                     const std::string& new_owner);
+  /// Sends the owner the next replay frame after one was answered.
+  void continue_replay(const std::string& user, SessionState& state);
   void finish_replay(const std::string& user, SessionState& state);
   /// Declares `key` dead: re-queues its un-acked client jobs in order,
   /// fails passthroughs, drops it, rebalances.

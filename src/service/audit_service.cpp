@@ -155,12 +155,10 @@ AuditService::AuditService(std::shared_ptr<Scenario> scenario,
 AuditService::~AuditService() { shutdown(); }
 
 std::unique_ptr<AuditService::Pending> AuditService::make_pending(
-    AuditRequest request, Ticket* ticket) {
+    AuditRequest request, std::function<void(AuditResponse)> done) {
   auto pending = std::make_unique<Pending>();
+  pending->done = std::move(done);
   pending->cancelled = std::make_shared<std::atomic<bool>>(false);
-  ticket->cancelled_ = pending->cancelled;
-  ticket->response = pending->promise.get_future();
-
   if (request.deadline != kNoDeadline) {
     pending->deadline = request.deadline;
   } else if (options_.default_deadline.count() > 0) {
@@ -172,69 +170,78 @@ std::unique_ptr<AuditService::Pending> AuditService::make_pending(
   return pending;
 }
 
-Ticket AuditService::submit(AuditRequest request) {
-  Ticket ticket;
-  std::unique_ptr<Pending> pending = make_pending(std::move(request), &ticket);
+std::unique_ptr<AuditService::Pending> AuditService::make_ticketed(
+    AuditRequest request, Ticket* ticket) {
+  std::unique_ptr<Pending> pending = make_pending(std::move(request), nullptr);
+  std::promise<AuditResponse>& promise = pending->promise.emplace();
+  ticket->response = promise.get_future();
+  ticket->cancelled_ = pending->cancelled;
+  // The record owns the promise and outlives its own callback.
+  pending->done = [&promise](AuditResponse response) {
+    promise.set_value(std::move(response));
+  };
+  return pending;
+}
 
+void AuditService::admit(std::span<std::unique_ptr<Pending>> batch) {
+  const std::size_t n = batch.size();
+  Status rejection = Status::Ok();
+  std::size_t ready = 0;
   {
     std::lock_guard<std::mutex> lock(queue_mutex_);
     if (!accepting_) {
-      rejected_->add(1);
-      AuditResponse r;
-      r.status = Status::Unavailable("audit service is shutting down");
-      pending->promise.set_value(std::move(r));
-      return ticket;
+      rejection = Status::Unavailable("audit service is shutting down");
+    } else if (depth_ + n > options_.queue_capacity) {
+      const std::string capacity = std::to_string(options_.queue_capacity);
+      rejection = Status::ResourceExhausted(
+          n == 1 ? "audit service queue full (" + capacity +
+                       " waiting); retry later"
+                 : "audit service queue cannot admit batch of " +
+                       std::to_string(n) + " (" +
+                       std::to_string(options_.queue_capacity - depth_) +
+                       " slots free); retry later");
+    } else {
+      accepted_->add(static_cast<std::int64_t>(n));
+      queue_depth_->add(static_cast<std::int64_t>(n));
+      depth_ += n;
+      for (std::unique_ptr<Pending>& pending : batch) {
+        const auto [it, idle] = waiting_.try_emplace(pending->request.user);
+        if (idle) {
+          queue_.push_back(std::move(pending));
+          ++ready;
+        } else {
+          it->second.push_back(std::move(pending));
+        }
+      }
     }
-    if (queue_.size() >= options_.queue_capacity) {
-      rejected_->add(1);
-      AuditResponse r;
-      r.status = Status::ResourceExhausted(
-          "audit service queue full (" +
-          std::to_string(options_.queue_capacity) + " waiting); retry later");
-      pending->promise.set_value(std::move(r));
-      return ticket;
-    }
-    accepted_->add(1);
-    queue_depth_->add(1);
-    queue_.push_back(std::move(pending));
   }
-  queue_cv_.notify_one();
+  if (ready == 1) queue_cv_.notify_one();
+  if (ready > 1) queue_cv_.notify_all();
+  if (rejection.ok()) return;
+  rejected_->add(static_cast<std::int64_t>(n));
+  for (std::unique_ptr<Pending>& pending : batch) {
+    AuditResponse response;
+    response.status = rejection;
+    pending->done(std::move(response));
+  }
+}
+
+Ticket AuditService::submit(AuditRequest request) {
+  Ticket ticket;
+  std::unique_ptr<Pending> pending = make_ticketed(std::move(request), &ticket);
+  admit({&pending, 1});
   return ticket;
 }
 
 AuditResponse AuditService::process(AuditRequest request) {
-  Ticket ticket = submit(std::move(request));
-  return ticket.response.get();
+  return submit(std::move(request)).response.get();
 }
 
 void AuditService::submit_async(AuditRequest request,
                                 std::function<void(AuditResponse)> done) {
-  Ticket ticket;  // the promise/future pair goes unused on this path
-  std::unique_ptr<Pending> pending = make_pending(std::move(request), &ticket);
-  pending->done = std::move(done);
-
-  AuditResponse rejection;
-  {
-    std::lock_guard<std::mutex> lock(queue_mutex_);
-    if (!accepting_) {
-      rejected_->add(1);
-      rejection.status = Status::Unavailable("audit service is shutting down");
-    } else if (queue_.size() >= options_.queue_capacity) {
-      rejected_->add(1);
-      rejection.status = Status::ResourceExhausted(
-          "audit service queue full (" +
-          std::to_string(options_.queue_capacity) + " waiting); retry later");
-    } else {
-      accepted_->add(1);
-      queue_depth_->add(1);
-      queue_.push_back(std::move(pending));
-    }
-  }
-  if (pending) {  // rejected: resolve inline, outside the queue lock
-    pending->resolve(std::move(rejection));
-    return;
-  }
-  queue_cv_.notify_one();
+  std::unique_ptr<Pending> pending =
+      make_pending(std::move(request), std::move(done));
+  admit({&pending, 1});
 }
 
 std::vector<Ticket> AuditService::submit_many(
@@ -243,39 +250,9 @@ std::vector<Ticket> AuditService::submit_many(
   std::vector<std::unique_ptr<Pending>> batch;
   batch.reserve(requests.size());
   for (std::size_t i = 0; i < requests.size(); ++i) {
-    batch.push_back(make_pending(std::move(requests[i]), &tickets[i]));
+    batch.push_back(make_ticketed(std::move(requests[i]), &tickets[i]));
   }
-
-  auto reject_all = [&](const Status& status) {
-    rejected_->add(static_cast<std::int64_t>(batch.size()));
-    for (std::unique_ptr<Pending>& pending : batch) {
-      AuditResponse r;
-      r.status = status;
-      pending->promise.set_value(std::move(r));
-    }
-  };
-
-  {
-    std::lock_guard<std::mutex> lock(queue_mutex_);
-    if (!accepting_) {
-      reject_all(Status::Unavailable("audit service is shutting down"));
-      return tickets;
-    }
-    if (queue_.size() + batch.size() > options_.queue_capacity) {
-      reject_all(Status::ResourceExhausted(
-          "audit service queue cannot admit batch of " +
-          std::to_string(batch.size()) + " (" +
-          std::to_string(options_.queue_capacity - queue_.size()) +
-          " slots free); retry later"));
-      return tickets;
-    }
-    accepted_->add(static_cast<std::int64_t>(batch.size()));
-    queue_depth_->add(static_cast<std::int64_t>(batch.size()));
-    for (std::unique_ptr<Pending>& pending : batch) {
-      queue_.push_back(std::move(pending));
-    }
-  }
-  queue_cv_.notify_all();
+  admit(batch);
   return tickets;
 }
 
@@ -290,22 +267,50 @@ std::vector<AuditResponse> AuditService::process_many(
   return responses;
 }
 
+void AuditService::release_turn(const std::string& user) {
+  const auto it = waiting_.find(user);
+  std::list<std::unique_ptr<Pending>>& next = it->second;
+  // Resets apply before the user's next audit can become visible.
+  while (!next.empty() && next.front() == nullptr) {
+    next.pop_front();
+    drop_session(user);
+  }
+  if (next.empty()) {
+    waiting_.erase(it);
+    return;
+  }
+  queue_.push_back(std::move(next.front()));
+  next.pop_front();
+}
+
+std::unique_ptr<AuditService::Pending> AuditService::take_ready() {
+  std::unique_ptr<Pending> pending = std::move(queue_.front());
+  queue_.pop_front();
+  --depth_;
+  queue_depth_->add(-1);
+  return pending;
+}
+
 void AuditService::worker_loop() {
   // The worker's engine context, rebuilt when reload() swaps the scenario
   // (stage slots, subcube oracle and the prepared Delta classes for A all
   // belong to one scenario generation).
   std::unique_ptr<AuditContext> ctx;
   std::uint64_t ctx_generation = 0;
+  // Taken in the lock section that ended the previous request, so a busy
+  // worker locks the queue once per request.
+  std::unique_ptr<Pending> next;
 
   for (;;) {
-    std::unique_ptr<Pending> pending;
-    {
+    std::unique_ptr<Pending> pending = std::move(next);
+    if (!pending) {
       std::unique_lock<std::mutex> lock(queue_mutex_);
       queue_cv_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
-      if (queue_.empty()) return;  // stopping_ && drained
-      pending = std::move(queue_.front());
-      queue_.pop_front();
-      queue_depth_->add(-1);
+      // Stopping with nothing free to start: whatever still waits behind a
+      // running request is handed to queue_ by that request's worker, which
+      // takes it next.
+      if (queue_.empty()) return;
+      pending = take_ready();
     }
     const std::int64_t start_ns = now_ns();
     queue_wait_ns_->record(start_ns - pending->enqueue_ns);
@@ -331,7 +336,17 @@ void AuditService::worker_loop() {
     }
     completed_->add(1);
     process_ns_->record(now_ns() - start_ns);
-    pending->resolve(std::move(response));
+    bool more = false;
+    {
+      std::lock_guard<std::mutex> lock(queue_mutex_);
+      // Before resolving: a caller that waited for this response and resets
+      // the session next sees the reset applied at once.
+      release_turn(pending->request.user);
+      if (!queue_.empty()) next = take_ready();
+      more = !queue_.empty();
+    }
+    if (more) queue_cv_.notify_one();
+    pending->done(std::move(response));
   }
 }
 
@@ -481,8 +496,8 @@ AuditResponse AuditService::handle(Pending& pending,
     }
   }
 
-  // Held for the whole request: a concurrent reset_session()/reload() only
-  // removes the map entry, never destroys the session under the worker.
+  // Held for the whole request: a concurrent reload() only removes the map
+  // entry, never destroys the session under the worker.
   const std::shared_ptr<Session> session_ptr =
       session_for(pending.request.user, *scenario);
   Session& session = *session_ptr;
@@ -602,9 +617,19 @@ Status AuditService::reload(RecordUniverse universe, World initial_state,
 }
 
 Status AuditService::reset_session(const std::string& user) {
+  std::lock_guard<std::mutex> lock(queue_mutex_);
+  const auto it = waiting_.find(user);
+  if (it == waiting_.end()) {
+    drop_session(user);
+  } else {
+    it->second.push_back(nullptr);  // applied by release_turn()
+  }
+  return Status::Ok();
+}
+
+void AuditService::drop_session(const std::string& user) {
   std::lock_guard<std::mutex> lock(sessions_mutex_);
   sessions_.erase(user);
-  return Status::Ok();
 }
 
 void AuditService::shutdown() {
@@ -626,7 +651,7 @@ bool AuditService::accepting() const {
 
 std::size_t AuditService::queue_depth() const {
   std::lock_guard<std::mutex> lock(queue_mutex_);
-  return queue_.size();
+  return depth_;
 }
 
 std::string AuditService::audit_query() const {

@@ -18,9 +18,11 @@
 //    queue-depth / cache-hit counters and queue-wait / process-time
 //    histograms in the service's own MetricsRegistry.
 //
-// Threading: submit() is safe from any number of threads; `workers` service
-// threads process requests. Requests for the same user serialize on the
-// session mutex; distinct users proceed in parallel.
+// Threading: every submit entry point is safe from any number of threads;
+// `workers` service threads process requests. Admission keeps a FIFO per
+// user: at most one request of a user runs at a time, a user's requests
+// start in admission order, and reset_session() takes its place in that
+// order. Distinct users proceed in parallel.
 #pragma once
 
 #include <chrono>
@@ -28,10 +30,12 @@
 #include <deque>
 #include <functional>
 #include <future>
+#include <list>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <shared_mutex>
+#include <span>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -55,7 +59,8 @@ struct ServiceOptions {
   /// Request-processing threads (>= 1).
   unsigned workers = 2;
   /// Bounded queue: submissions beyond this many waiting requests are
-  /// rejected with ResourceExhausted (>= 1).
+  /// rejected with ResourceExhausted (>= 1). A request waiting behind a
+  /// running request of the same user counts as waiting.
   std::size_t queue_capacity = 256;
   /// Verdict cache entry budget; 0 disables caching entirely.
   std::size_t cache_capacity = 4096;
@@ -171,12 +176,13 @@ class AuditService {
   void submit_async(AuditRequest request,
                     std::function<void(AuditResponse)> done);
 
-  /// Batch admission: enqueues the whole span atomically — either every
-  /// request is accepted (one lock acquisition, queue order preserved, so
-  /// same-user requests still serialize in submission order) or none is and
-  /// every ticket resolves with the same ResourceExhausted / Unavailable
-  /// status. All-or-nothing keeps batch semantics simple for callers
-  /// sweeping a policy stream: no partially-admitted sweep to unpick.
+  /// Batch admission: enqueues the whole batch atomically — either every
+  /// request is accepted (one lock acquisition; a user's requests start in
+  /// batch order, one at a time) or none is and every ticket resolves with
+  /// the same ResourceExhausted / Unavailable status. All-or-nothing keeps
+  /// batch semantics simple for callers sweeping a policy stream: no
+  /// partially-admitted sweep to unpick. submit() and submit_async() are
+  /// the one-request case of the same admission.
   std::vector<Ticket> submit_many(std::vector<AuditRequest> requests);
 
   /// Blocking convenience wrapper around submit_many(); responses[i]
@@ -191,8 +197,11 @@ class AuditService {
   Status reload(RecordUniverse universe, World initial_state,
                 const std::string& audit_query_text, PriorAssumption prior);
 
-  /// Forgets one user's accumulated knowledge (their next request starts a
-  /// fresh session). Ok even when the user has no session yet.
+  /// Forgets one user's accumulated knowledge. Never blocks: the reset
+  /// takes effect after every request of that user admitted before it (at
+  /// once when the user has nothing admitted or running), so the next
+  /// request admitted after it starts a fresh session. Takes no queue slot.
+  /// Ok even when the user has no session yet.
   Status reset_session(const std::string& user);
 
   /// Stops admission, drains every accepted request and joins the workers.
@@ -202,7 +211,8 @@ class AuditService {
   /// False once shutdown began.
   bool accepting() const;
 
-  /// Requests accepted but not yet picked up by a worker.
+  /// Requests accepted but not yet started, including those waiting behind
+  /// a running request of the same user.
   std::size_t queue_depth() const;
 
   /// The audited property / prior currently served.
@@ -238,27 +248,36 @@ class AuditService {
 
   struct Pending {
     AuditRequest request;
-    std::promise<AuditResponse> promise;
-    /// When set (submit_async), resolves the request instead of the promise.
-    std::function<void(AuditResponse)> done;
+    std::function<void(AuditResponse)> done;  ///< runs exactly once
+    /// A ticketed submission's promise, fulfilled by its `done`; kept in the
+    /// record so that callback needs no allocation of its own.
+    std::optional<std::promise<AuditResponse>> promise;
     std::shared_ptr<std::atomic<bool>> cancelled;
     std::chrono::steady_clock::time_point deadline{};  ///< epoch = none
     std::int64_t enqueue_ns = 0;
-
-    void resolve(AuditResponse response) {
-      if (done) {
-        done(std::move(response));
-      } else {
-        promise.set_value(std::move(response));
-      }
-    }
   };
 
   AuditService(std::shared_ptr<Scenario> scenario, ServiceOptions options);
 
-  /// Builds the Pending record and its Ticket (deadline defaulting,
+  /// Builds the Pending record resolved by `done` (deadline defaulting,
   /// enqueue timestamp) without touching the queue.
-  std::unique_ptr<Pending> make_pending(AuditRequest request, Ticket* ticket);
+  std::unique_ptr<Pending> make_pending(AuditRequest request,
+                                        std::function<void(AuditResponse)> done);
+  /// make_pending resolving a promise; the future and the cancellation flag
+  /// go into `*ticket`.
+  std::unique_ptr<Pending> make_ticketed(AuditRequest request, Ticket* ticket);
+  /// The one admission routine: queues every request of `batch` behind its
+  /// user's earlier work, or rejects them all and resolves them inline.
+  void admit(std::span<std::unique_ptr<Pending>> batch);
+  /// Ends `user`'s running request: applies the resets waiting behind it,
+  /// then hands the user's next audit to the run queue or forgets the user.
+  /// Called with queue_mutex_ held.
+  void release_turn(const std::string& user);
+  /// Pops the front of the run queue. Called with queue_mutex_ held.
+  std::unique_ptr<Pending> take_ready();
+  /// Erases `user`'s session (a reset_session() taking effect). Called with
+  /// queue_mutex_ held: lock order is queue_mutex_, then sessions_mutex_.
+  void drop_session(const std::string& user);
 
   void worker_loop();
   AuditResponse handle(Pending& pending, const std::shared_ptr<Scenario>& scenario,
@@ -278,8 +297,8 @@ class AuditService {
   EngineDecision decide(const Scenario& scenario, const WorldSet& b,
                         AuditContext& ctx, bool* cached);
   /// The session serving `user` under `scenario`. Workers hold the returned
-  /// shared_ptr for the whole request, so reset_session()/reload() erasing
-  /// the map entry never destroys a session out from under a worker. A
+  /// shared_ptr for the whole request, so reload() erasing the map entry
+  /// never destroys a session out from under a worker. A
   /// session whose generation predates the scenario is replaced; a worker
   /// finishing an in-flight request from before a reload gets a detached
   /// fresh session rather than trampling the newer one.
@@ -303,7 +322,15 @@ class AuditService {
 
   mutable std::mutex queue_mutex_;
   std::condition_variable queue_cv_;
+  /// Admitted audits free to start: no other request of their user is
+  /// running or ahead of them here.
   std::deque<std::unique_ptr<Pending>> queue_;
+  /// Per user with an audit in queue_ or running: what waits behind it, in
+  /// admission order; a null entry is a reset_session(). A list, because an
+  /// empty one allocates nothing and most users never have anything waiting.
+  std::unordered_map<std::string, std::list<std::unique_ptr<Pending>>>
+      waiting_;
+  std::size_t depth_ = 0;  ///< admitted audits not yet started
   bool accepting_ = true;
   bool stopping_ = false;
 

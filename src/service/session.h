@@ -6,10 +6,10 @@
 // OnlineAuditSession whose strategy decides allow/deny before anything is
 // disclosed at all (Section 7's online direction).
 //
-// Sessions are mutated under their own mutex: the service serializes
-// requests per user (intersection is commutative, but sequence numbers and
-// the online strategy's agent model are order-sensitive) while distinct
-// users proceed in parallel.
+// The service's admission runs at most one request per user at a time, in
+// admission order (intersection is commutative, but sequence numbers and the
+// online strategy's agent model are order-sensitive), while distinct users
+// proceed in parallel. Sessions are still mutated under their own mutex.
 #pragma once
 
 #include <cstdint>
@@ -68,7 +68,7 @@ class Session {
   void attach_online(std::unique_ptr<OnlineAuditSession> online);
   OnlineAuditSession* online() { return online_.get(); }
 
-  /// Serializes per-user processing; the service holds this for the
+  /// Guards the session's state; the service holds this for the
   /// absorb-and-decide step of each request.
   std::mutex& mutex() { return mutex_; }
 

@@ -701,20 +701,27 @@ void check_service_composition(Rng& rng, const ModelCheckOptions& opt,
     return;
   }
 
+  // Every response field a client sees except the cache flags: the
+  // incremental path bypasses the cumulative verdict cache, and concurrent
+  // users race each other to fill the shared one.
+  auto same_response = [](const service::AuditResponse& x,
+                          const service::AuditResponse& y) {
+    auto finding_equal = [](const AuditFinding& f, const AuditFinding& g) {
+      return f.user == g.user && f.query_text == g.query_text &&
+             f.answer == g.answer && f.verdict == g.verdict &&
+             f.method == g.method && f.certified == g.certified &&
+             f.detail == g.detail && f.numeric_gap == g.numeric_gap;
+    };
+    return x.status.code() == y.status.code() && x.answer == y.answer &&
+           x.denied == y.denied && x.sequence == y.sequence &&
+           finding_equal(x.disclosure, y.disclosure) &&
+           finding_equal(x.cumulative, y.cumulative);
+  };
+
   auto diff_step = [&](const char* op, std::size_t step,
                        const service::AuditResponse& inc,
                        const service::AuditResponse& rec) {
-    auto finding_equal = [](const AuditFinding& x, const AuditFinding& y) {
-      return x.verdict == y.verdict && x.method == y.method &&
-             x.certified == y.certified && x.detail == y.detail &&
-             x.numeric_gap == y.numeric_gap;
-    };
-    if (inc.status.code() == rec.status.code() && inc.answer == rec.answer &&
-        inc.denied == rec.denied && inc.sequence == rec.sequence &&
-        finding_equal(inc.disclosure, rec.disclosure) &&
-        finding_equal(inc.cumulative, rec.cumulative)) {
-      return;
-    }
+    if (same_response(inc, rec)) return;
     std::ostringstream os;
     os << "incremental/recompute divergence at " << op << " step " << step
        << " under " << to_string(prior) << ": incremental=(cum "
@@ -726,6 +733,15 @@ void check_service_composition(Rng& rng, const ModelCheckOptions& opt,
     out.push_back(os.str());
   };
 
+  // Every op in the order it ran, for the concurrent replay below: an audit
+  // with its sequential response, or a reset (`reset` set, request.user).
+  struct StreamOp {
+    bool reset = false;
+    service::AuditRequest request;
+    service::AuditResponse response;
+  };
+  std::vector<StreamOp> stream;
+
   auto send_both = [&](const char* op, std::size_t step,
                        const service::AuditRequest& request) {
     service::AuditRequest inc_request = request;
@@ -735,7 +751,15 @@ void check_service_composition(Rng& rng, const ModelCheckOptions& opt,
     const service::AuditResponse rec_response =
         rec_svc->process(std::move(rec_request));
     diff_step(op, step, inc_response, rec_response);
+    stream.push_back({false, request, inc_response});
     return inc_response;
+  };
+  auto reset_both = [&](const std::string& user) {
+    inc_svc->reset_session(user);
+    rec_svc->reset_session(user);
+    service::AuditRequest request;
+    request.user = user;
+    stream.push_back({true, std::move(request), {}});
   };
 
   std::unordered_map<std::string, std::vector<std::pair<std::string, bool>>>
@@ -759,13 +783,11 @@ void check_service_composition(Rng& rng, const ModelCheckOptions& opt,
       }
     } else if (kind < 6) {
       // Reset: both sessions forget; incremental state must die with them.
-      inc_svc->reset_session(user);
-      rec_svc->reset_session(user);
+      reset_both(user);
       scripts[user].clear();
     } else {
       // Replay: a rebalance in miniature — reset, then re-send the script.
-      inc_svc->reset_session(user);
-      rec_svc->reset_session(user);
+      reset_both(user);
       const auto script = scripts[user];  // copy: send_both appends nothing
       for (std::size_t k = 0; k < script.size(); ++k) {
         service::AuditRequest request;
@@ -806,6 +828,86 @@ void check_service_composition(Rng& rng, const ModelCheckOptions& opt,
                     "query \"" + audit_query + "\"");
     }
   }
+
+  // --- Concurrent submission vs the sequential run --------------------------
+  // The same op stream through 2-4 workers, every audit submitted without
+  // waiting and every reset_session called inline between submissions: only
+  // the service's per-user admission order keeps each user's sequence
+  // numbers, cumulative verdicts and resets where the one-at-a-time run had
+  // them. Then again with live requests (no answer) under the simulatable
+  // online strategy, whose agent model is order-sensitive too.
+  const unsigned workers = 2 + static_cast<unsigned>(rng.next_below(3));
+  auto run_stream = [&](service::ServiceOptions run_options, bool live,
+                        bool concurrent) {
+    std::vector<service::AuditResponse> responses;
+    std::unique_ptr<service::AuditService> run_svc;
+    if (!service::AuditService::try_create(universe, initial_state, audit_query,
+                                           prior, run_options, &run_svc)
+             .ok()) {
+      return responses;
+    }
+    std::vector<service::Ticket> tickets;
+    for (const StreamOp& op : stream) {
+      if (op.reset) {
+        run_svc->reset_session(op.request.user);
+        continue;
+      }
+      service::AuditRequest request = op.request;
+      if (live) request.answer.reset();
+      if (concurrent) {
+        tickets.push_back(run_svc->submit(std::move(request)));
+      } else {
+        responses.push_back(run_svc->process(std::move(request)));
+      }
+    }
+    for (service::Ticket& ticket : tickets) {
+      responses.push_back(ticket.response.get());
+    }
+    return responses;
+  };
+  auto diff_runs = [&](const char* mode,
+                       const std::vector<service::AuditResponse>& got,
+                       const std::vector<service::AuditResponse>& want) {
+    if (got.size() != want.size()) {
+      out.push_back(std::string(mode) + " run with " +
+                    std::to_string(workers) + " workers returned " +
+                    std::to_string(got.size()) + " responses, want " +
+                    std::to_string(want.size()));
+      return;
+    }
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      const service::AuditResponse& g = got[i];
+      const service::AuditResponse& w = want[i];
+      if (same_response(g, w)) continue;
+      std::ostringstream os;
+      os << mode << " submission with " << workers << " workers diverges "
+         << "from the sequential run at audit #" << i << " (user "
+         << g.disclosure.user << ") under " << to_string(prior)
+         << ": got (seq " << g.sequence << ", cum "
+         << verdict_name(g.cumulative.verdict) << ", " << g.cumulative.method
+         << ") want (seq " << w.sequence << ", cum "
+         << verdict_name(w.cumulative.verdict) << ", " << w.cumulative.method
+         << "); audit query \"" << audit_query << "\"";
+      out.push_back(os.str());
+      return;
+    }
+  };
+  std::vector<service::AuditResponse> sequential;
+  for (const StreamOp& op : stream) {
+    if (!op.reset) sequential.push_back(op.response);
+  }
+  service::ServiceOptions concurrent_options = service_options;
+  concurrent_options.workers = workers;
+  diff_runs("concurrent", run_stream(concurrent_options, false, true),
+            sequential);
+  service::ServiceOptions online_options = service_options;
+  online_options.online_strategy = OnlineStrategy::kSimulatable;
+  online_options.workers = 1;
+  const std::vector<service::AuditResponse> online_sequential =
+      run_stream(online_options, true, false);
+  online_options.workers = workers;
+  diff_runs("concurrent live online",
+            run_stream(online_options, true, true), online_sequential);
 }
 
 // --- Check 8: fused-kernels -------------------------------------------------

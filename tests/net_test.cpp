@@ -284,7 +284,8 @@ std::unique_ptr<service::AuditService> make_service() {
 // Pipelines interleaved audits for several users over one connection,
 // delivered one byte at a time, and checks the server's two ordering
 // invariants: responses come back in request order (ids 1..n), and each
-// user's disclosure sequence is 1..k with no gap, duplicate or reorder.
+// user's disclosure sequence is 1..k with no gap, duplicate or reorder,
+// restarting at 1 after a reset_session pipelined among the audits.
 TEST(ServiceServerTest, PipelinedAuditsKeepPerUserSequences) {
   std::unique_ptr<service::AuditService> service = make_service();
   std::unique_ptr<ServiceServer> server;
@@ -306,25 +307,33 @@ TEST(ServiceServerTest, PipelinedAuditsKeepPerUserSequences) {
   const std::vector<std::string> queries = {
       "bob_hiv", "bob_hiv -> bob_transfusion", "bob_transfusion",
       "atmost(0, bob_hepatitis)"};
-  std::string wire;
-  std::uint64_t id = 0;
+  // bob's session is reset mid-stream, pipelined behind his earlier audits.
   constexpr int kRounds = 8;
+  constexpr int kResetRound = 5;
+  std::string wire;
+  std::vector<service::WireRequest> sent;  // sent[id - 1]
+  auto send = [&](service::Op op, const std::string& user,
+                  const std::string& query) {
+    service::WireRequest request;
+    request.op = op;
+    request.id = sent.size() + 1;
+    request.user = user;
+    request.query = query;
+    wire += serialize_request(request) + "\n";
+    sent.push_back(request);
+  };
   for (int round = 0; round < kRounds; ++round) {
+    if (round == kResetRound) send(service::Op::kResetSession, "bob", "");
     for (const std::string& user : users) {
-      service::WireRequest request;
-      request.op = service::Op::kAudit;
-      request.id = ++id;
-      request.user = user;
-      request.query = queries[round % queries.size()];
-      wire += serialize_request(request) + "\n";
+      send(service::Op::kAudit, user, queries[round % queries.size()]);
     }
   }
   for (char byte : wire) {
     ASSERT_EQ(1, ::send(peer, &byte, 1, MSG_NOSIGNAL));
   }
 
-  const std::vector<std::string> lines = read_lines(peer, id);
-  ASSERT_EQ(id, lines.size());
+  const std::vector<std::string> lines = read_lines(peer, sent.size());
+  ASSERT_EQ(sent.size(), lines.size());
   std::map<std::string, std::uint64_t> next_sequence;
   std::uint64_t expected_id = 0;
   for (const std::string& line : lines) {
@@ -333,19 +342,25 @@ TEST(ServiceServerTest, PipelinedAuditsKeepPerUserSequences) {
     ASSERT_TRUE(response.ok) << line;
     // Per-connection order: ids echo back exactly as sent.
     EXPECT_EQ(++expected_id, response.id);
-    // Per-user order: the service's own sequence counter must tick 1..k.
-    const std::string user = users[(response.id - 1) % users.size()];
-    EXPECT_EQ(++next_sequence[user], response.sequence)
-        << user << " at id " << response.id;
+    const service::WireRequest& request = sent[response.id - 1];
+    if (request.op == service::Op::kResetSession) {
+      next_sequence[request.user] = 0;
+      continue;
+    }
+    // Per-user order: the service's own sequence counter must tick 1..k,
+    // restarting at 1 after the user's reset.
+    EXPECT_EQ(++next_sequence[request.user], response.sequence)
+        << request.user << " at id " << response.id;
   }
-  for (const std::string& user : users) {
-    EXPECT_EQ(static_cast<std::uint64_t>(kRounds), next_sequence[user]);
-  }
+  EXPECT_EQ(static_cast<std::uint64_t>(kRounds), next_sequence["alice"]);
+  EXPECT_EQ(static_cast<std::uint64_t>(kRounds - kResetRound),
+            next_sequence["bob"]);
+  EXPECT_EQ(static_cast<std::uint64_t>(kRounds), next_sequence["cindy"]);
 
   // Wire shutdown: ok response, then the server drains and run() returns.
   service::WireRequest bye;
   bye.op = service::Op::kShutdown;
-  bye.id = ++id;
+  bye.id = sent.size() + 1;
   const std::string bye_wire = serialize_request(bye) + "\n";
   ASSERT_EQ(static_cast<ssize_t>(bye_wire.size()),
             ::send(peer, bye_wire.data(), bye_wire.size(), MSG_NOSIGNAL));

@@ -277,9 +277,8 @@ TEST(Service, ReloadResetsSessionsAndInvalidatesCache) {
 }
 
 // A reset_session (wire-exposed) racing an in-flight request for the same
-// user must not destroy the Session a worker is using: the worker holds a
-// shared_ptr, so the reset only removes the map entry and the next request
-// starts fresh.
+// user must not disturb the Session a worker is using: the reset waits for
+// that request, and the next request starts fresh.
 TEST(Service, ResetSessionDuringRequestIsSafe) {
   std::promise<void> release;
   std::shared_future<void> released = release.get_future().share();
@@ -418,6 +417,38 @@ TEST(Service, ResetSessionForgetsAccumulatedKnowledge) {
   ASSERT_TRUE(service->reset_session("alice").ok());
   EXPECT_EQ(service->process(request).sequence, 1u);
   EXPECT_TRUE(service->reset_session("nobody").ok());
+}
+
+// A reset takes its place in the user's admission order: it applies after
+// the requests admitted before it, however far they are from running.
+TEST(Service, ResetSessionTakesEffectAfterAdmittedRequests) {
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  std::atomic<int> entered{0};
+  ServiceOptions options = small_service_options();
+  options.workers = 1;
+  options.test_hook_pre_decide = [&] {
+    if (entered.fetch_add(1) == 0) released.wait();
+  };
+  std::unique_ptr<AuditService> service = make_service(std::move(options));
+  ASSERT_NE(service, nullptr);
+
+  AuditRequest request;
+  request.user = "alice";
+  request.query_text = "bob_hiv";
+  request.answer = true;
+  Ticket first = service->submit(request);
+  // The worker is parked before it reaches alice's session.
+  while (entered.load() == 0) std::this_thread::yield();
+  Ticket second = service->submit(request);
+  ASSERT_TRUE(service->reset_session("alice").ok());
+  Ticket third = service->submit(request);
+  EXPECT_EQ(service->queue_depth(), 2u);  // the reset takes no queue slot
+
+  release.set_value();
+  EXPECT_EQ(first.response.get().sequence, 1u);
+  EXPECT_EQ(second.response.get().sequence, 2u);
+  EXPECT_EQ(third.response.get().sequence, 1u);
 }
 
 // --- Incremental session evaluation (DESIGN.md section 11) ----------------
@@ -662,6 +693,43 @@ TEST(Service, ProcessManyMatchesSequentialProcess) {
     expect_same_finding(batch[i].disclosure, want.disclosure);
     expect_same_finding(batch[i].cumulative, want.cumulative);
   }
+}
+
+// Admission keeps a FIFO per user: with alice's first request parked in a
+// worker, her second must wait for it even though the other worker is free,
+// while bob's request overtakes both.
+TEST(Service, SameUserRequestsStartInAdmissionOrder) {
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  std::atomic<int> entered{0};
+  ServiceOptions options = small_service_options();
+  options.workers = 2;
+  options.test_hook_pre_decide = [&] {
+    if (entered.fetch_add(1) == 0) released.wait();
+  };
+  std::unique_ptr<AuditService> service = make_service(std::move(options));
+  ASSERT_NE(service, nullptr);
+
+  AuditRequest alice;
+  alice.user = "alice";
+  alice.query_text = "bob_hiv";
+  alice.answer = true;
+  Ticket first = service->submit(alice);
+  while (entered.load() == 0) std::this_thread::yield();
+  Ticket second = service->submit(alice);
+  AuditRequest bob = alice;
+  bob.user = "bob";
+  const AuditResponse bob_response = service->submit(bob).response.get();
+  ASSERT_TRUE(bob_response.status.ok()) << bob_response.status.to_string();
+  EXPECT_EQ(bob_response.sequence, 1u);
+  // alice's first and bob's request have reached the hook; her second has
+  // not started.
+  EXPECT_EQ(entered.load(), 2);
+  EXPECT_EQ(service->queue_depth(), 1u);
+
+  release.set_value();
+  EXPECT_EQ(first.response.get().sequence, 1u);
+  EXPECT_EQ(second.response.get().sequence, 2u);
 }
 
 TEST(Service, SubmitManyIsAllOrNothing) {
