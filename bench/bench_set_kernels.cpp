@@ -14,10 +14,10 @@
 // subset relation holds, so every word is scanned): the measured gap is the
 // fusion win, not an early-out artifact.
 //
-// A second axis sweeps the ISA dispatch tiers (scalar word loop, AVX2,
-// AVX-512 where the host supports them) over the same fused kernels via
-// bits::force_isa, pinning the SIMD win per tier; tiers the host lacks are
-// skipped.
+// A second axis sweeps the ISA dispatch tiers (scalar word loop, and AVX2
+// where the host supports it) over the dispatched fused kernels via
+// bits::force_isa, pinning the SIMD win per tier; the weight sums are not
+// dispatched, so they appear only on the first axis.
 //
 // `--json` replaces the text report with a machine-readable JSON document
 // in the shared bench_json.h schema (one row per (n, kernel) pair, plus one
@@ -190,7 +190,6 @@ int main(int argc, char** argv) {
     const WorldSet s = WorldSet::random(n, rng);
     const WorldSet b = WorldSet::random(n, rng);
     const WorldSet a = (s & b) | WorldSet::random(n, rng, 0.25);
-    const Distribution p = Distribution::random(n, rng);
     const int reps = 400;
 
     if (!json) {
@@ -200,8 +199,7 @@ int main(int argc, char** argv) {
       std::printf("  %-10s %-26s %12s\n", "tier", "kernel", "ns/op");
     }
     for (const bits::IsaTier tier :
-         {bits::IsaTier::kScalar, bits::IsaTier::kAvx2,
-          bits::IsaTier::kAvx512}) {
+         {bits::IsaTier::kScalar, bits::IsaTier::kAvx2}) {
       if (!bits::force_isa(tier)) continue;  // host lacks this tier
       const char* tier_name = bits::to_string(tier);
       struct Kernel {
@@ -216,19 +214,6 @@ int main(int argc, char** argv) {
                                                      s, b, a);
                                                  benchmark::DoNotOptimize(sink);
                                                })},
-          {"masked_weight_sum",
-           ns_per_op(reps,
-                     [&] {
-                       double sum = masked_weight_sum(a, p.weights().data());
-                       benchmark::DoNotOptimize(sum);
-                     })},
-          {"intersection_weight_sum",
-           ns_per_op(reps,
-                     [&] {
-                       double sum =
-                           intersection_weight_sum(a, b, p.weights().data());
-                       benchmark::DoNotOptimize(sum);
-                     })},
           {"union_is_universe", ns_per_op(reps,
                                           [&] {
                                             sink ^= union_is_universe(a, b);

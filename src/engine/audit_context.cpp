@@ -21,37 +21,8 @@ std::string stage_metric_name(std::size_t index, const std::string& stage,
 }  // namespace
 
 AuditContext::AuditContext()
-    : compile_misses_(&metrics_.counter("engine.compile.misses")),
-      compile_hits_(&metrics_.counter("engine.compile.hits")),
-      memo_hits_c_(&metrics_.counter("engine.memo.hits")),
+    : memo_hits_c_(&metrics_.counter("engine.memo.hits")),
       memo_lookups_(&metrics_.counter("engine.memo.lookups")) {}
-
-const WorldSet& AuditContext::compiled(const std::string& key,
-                                       const std::function<WorldSet()>& make) {
-  {
-    std::lock_guard<std::mutex> lock(compiled_mutex_);
-    auto it = compiled_.find(key);
-    if (it != compiled_.end()) {
-      compile_hits_->add(1);
-      return it->second;
-    }
-  }
-  // Compile outside the lock (parses/compiles can be expensive); a racing
-  // duplicate compilation is benign — first insert wins.
-  WorldSet made = make();
-  std::lock_guard<std::mutex> lock(compiled_mutex_);
-  auto [it, inserted] = compiled_.emplace(key, std::move(made));
-  if (inserted) {
-    compile_misses_->add(1);
-  } else {
-    compile_hits_->add(1);
-  }
-  return it->second;
-}
-
-std::size_t AuditContext::compile_count() const {
-  return static_cast<std::size_t>(compile_misses_->value());
-}
 
 EngineDecision AuditContext::memoized(
     const WorldSet& a, const WorldSet& b,

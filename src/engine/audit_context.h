@@ -1,8 +1,8 @@
-// Per-audit shared state: compiled-query caching, single-flight (A, B)-pair
-// verdict memoization, the prepared subcube interval oracle, and the
-// per-audit metrics registry every decision statistic is recorded into. One
-// AuditContext lives for the duration of one Auditor::audit() call and is
-// shared — thread-safely — by every worker deciding pairs for it.
+// Per-audit shared state: single-flight (A, B)-pair verdict memoization, the
+// prepared subcube interval oracle, and the per-audit metrics registry every
+// decision statistic is recorded into. One AuditContext lives for the
+// duration of one Auditor::audit() call and is shared — thread-safely — by
+// every worker deciding pairs for it.
 #pragma once
 
 #include <condition_variable>
@@ -45,18 +45,6 @@ class AuditContext {
   /// this registry, and stage_stats() / memo_hits() are views over it.
   obs::MetricsRegistry& metrics() { return metrics_; }
   obs::MetricsSnapshot metrics_snapshot() const { return metrics_.snapshot(); }
-
-  // --- Compiled-set cache -------------------------------------------------
-  /// Returns the cached WorldSet under `key`, calling `make` on first use.
-  /// References stay valid for the context's lifetime. Keys are the
-  /// disclosure's (query text, answer) pair, so a query answered the same
-  /// way to many users compiles exactly once per audit.
-  const WorldSet& compiled(const std::string& key,
-                           const std::function<WorldSet()>& make);
-
-  /// Number of cache misses (i.e. actual compilations) so far — the
-  /// `engine.compile.misses` counter.
-  std::size_t compile_count() const;
 
   // --- Pair-verdict memoization -------------------------------------------
   /// Single-flight memo: the decision for (a, b), looked up and claimed in
@@ -126,13 +114,8 @@ class AuditContext {
   };
 
   obs::MetricsRegistry metrics_;
-  obs::Counter* compile_misses_;  // engine.compile.misses
-  obs::Counter* compile_hits_;    // engine.compile.hits
-  obs::Counter* memo_hits_c_;     // engine.memo.hits
-  obs::Counter* memo_lookups_;    // engine.memo.lookups
-
-  mutable std::mutex compiled_mutex_;
-  std::unordered_map<std::string, WorldSet> compiled_;
+  obs::Counter* memo_hits_c_;   // engine.memo.hits
+  obs::Counter* memo_lookups_;  // engine.memo.lookups
 
   /// One pair's memo slot; `state` and `decision` are guarded by memo_mutex_.
   /// Slots are never erased and unordered_map nodes never move, so a

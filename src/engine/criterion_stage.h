@@ -11,7 +11,6 @@
 #include <string_view>
 
 #include "criteria/verdict.h"
-#include "probabilistic/distribution.h"
 #include "probabilistic/product.h"
 #include "worlds/world_set.h"
 
@@ -41,10 +40,9 @@ struct StageDecision {
   bool certified = false;  ///< proof-backed rather than numerics-only
   double numeric_gap = 0.0;
   /// Unsafe verdicts carry a witness prior: a product witness (lifted and
-  /// formatted by the engine, so projection-reduced stages stay oblivious)...
+  /// formatted by the engine, so projection-reduced stages stay oblivious),
+  /// or a general one described by `detail` directly.
   std::optional<ProductDistribution> witness_product;
-  /// ...or a general distribution, described by `detail` directly.
-  std::optional<Distribution> witness_distribution;
   std::string detail;  ///< human-readable witness description
   /// Monotone under disclosure composition: the decision (verdict, method,
   /// certified, detail — every byte) is guaranteed to recur for (A, B') for

@@ -5,7 +5,6 @@
 #include "criteria/unconditional.h"
 #include "engine/audit_context.h"
 #include "optimize/positivstellensatz.h"
-#include "probabilistic/safe.h"
 #include "worlds/finite_set.h"
 
 namespace epi {
@@ -33,7 +32,6 @@ class TableStage : public CriterionStage {
     d.certified = true;
     if (o.witness_distribution) {
       d.detail = distribution_label_ + o.witness_distribution->support().to_string();
-      d.witness_distribution = std::move(o.witness_distribution);
     }
     d.witness_product = std::move(o.witness_product);
     return d;
@@ -62,22 +60,17 @@ class UnrestrictedStage : public CriterionStage {
       d.monotone = true;
     } else if (union_is_universe(a, b)) {
       d.verdict = Verdict::kSafe;
-    } else if (a.symbolic() || b.symbolic()) {
-      // Same two-point witness as below, but Distribution is a dense 2^n
-      // vector — at symbolic scale only the two support worlds are named.
-      // The detail string is built to match the dense branch byte for byte
-      // (worlds in increasing order, same format), which the backend-parity
-      // model check pins.
+    } else {
+      // The two-point witness of unrestricted_witness(), named by its
+      // support worlds instead of built as a dense 2^n Distribution. The
+      // bytes match its support().to_string() (worlds in increasing order),
+      // which the backend-parity model check pins.
       d.verdict = Verdict::kUnsafe;
       World w1 = (a & b).min_world();
       World w2 = (~(a | b)).min_world();
       if (w2 < w1) std::swap(w1, w2);
       d.detail = "two-point prior on {" + world_to_string(w1, a.n()) + "," +
                  world_to_string(w2, a.n()) + "}";
-    } else {
-      d.verdict = Verdict::kUnsafe;
-      d.witness_distribution = unrestricted_witness(a, b);
-      d.detail = "two-point prior on " + d.witness_distribution->support().to_string();
     }
     return d;
   }

@@ -964,19 +964,16 @@ void check_fused_kernels(Rng& rng, const ModelCheckOptions& opt,
   }
 
   // ISA-tier parity: every SIMD table available on this host must return
-  // bit-identical results to the scalar reference — verdicts, counts, AND
-  // the double weight sums (compared with exact ==; the SIMD paths keep the
-  // ascending scalar accumulation order so this must hold exactly). Word
-  // counts are drawn past the dispatch threshold and off the 4/8-word block
-  // boundaries so the vector main loops and the scalar tails both run.
+  // bit-identical verdicts and counts to the scalar reference. Word counts
+  // are drawn past the dispatch threshold and off the 4-word block boundary
+  // so the vector main loop and the scalar tail both run.
   {
     const std::size_t nw = bits::kIsaDispatchWords + rng.next_below(16);
     const std::size_t bits_m = nw * bits::kWordBits - rng.next_below(bits::kWordBits);
     std::vector<bits::Word> xs(nw), ys(nw), zs(nw);
-    std::vector<double> weights(nw * bits::kWordBits);
     for (std::size_t i = 0; i < nw; ++i) {
-      // Mix dense, sparse and zero words so the zero-block skips, the
-      // early-exit branches and the all-ones universe path all trigger.
+      // Mix dense, sparse and zero words so the early-exit branches and the
+      // all-ones universe path all trigger.
       const auto word = [&rng]() -> bits::Word {
         switch (rng.next_below(4)) {
           case 0: return 0;
@@ -993,11 +990,9 @@ void check_fused_kernels(Rng& rng, const ModelCheckOptions& opt,
     xs[nw - 1] &= tail;
     ys[nw - 1] &= tail;
     zs[nw - 1] &= tail;
-    for (double& weight : weights) weight = rng.next_double();
 
     const bits::Isa* ref = bits::isa_for(bits::IsaTier::kScalar);
-    for (bits::IsaTier tier :
-         {bits::IsaTier::kScalar, bits::IsaTier::kAvx2, bits::IsaTier::kAvx512}) {
+    for (bits::IsaTier tier : {bits::IsaTier::kScalar, bits::IsaTier::kAvx2}) {
       const bits::Isa* isa = bits::isa_for(tier);
       if (isa == nullptr) continue;  // tier not runnable on this host
       const bool ok =
@@ -1013,13 +1008,7 @@ void check_fused_kernels(Rng& rng, const ModelCheckOptions& opt,
           isa->intersection3_empty(xs.data(), ys.data(), zs.data(), nw) ==
               ref->intersection3_empty(xs.data(), ys.data(), zs.data(), nw) &&
           isa->union_is_universe(xs.data(), ys.data(), nw, bits_m) ==
-              ref->union_is_universe(xs.data(), ys.data(), nw, bits_m) &&
-          isa->masked_weight_sum(xs.data(), nw, weights.data()) ==
-              ref->masked_weight_sum(xs.data(), nw, weights.data()) &&
-          isa->intersection_weight_sum(xs.data(), ys.data(), nw,
-                                       weights.data()) ==
-              ref->intersection_weight_sum(xs.data(), ys.data(), nw,
-                                           weights.data());
+              ref->union_is_universe(xs.data(), ys.data(), nw, bits_m);
       if (!ok) {
         out.push_back(std::string("ISA tier ") + isa->name +
                       " disagrees with the scalar reference on a fused "

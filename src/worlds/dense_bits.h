@@ -20,16 +20,15 @@
 // `(S∩B ⊆ A) ⇒ (S ⊆ A)`, Prop. 3.6/3.8 probabilistic safety compares
 // P[A∩B] against P[A]·P[B], and Thm. 3.11 tests A∩B = ∅ or A∪B = Omega.
 //
-// ISA dispatch: the fused predicates and popcount scans additionally have
-// runtime-dispatched AVX2 and AVX-512 implementations (dense_bits_isa.cpp)
-// behind the `Isa` function-pointer table below, selected once per process
-// from CPUID (overridable with the EPI_FORCE_ISA environment variable).
-// Every tier is bit-identical to the scalar reference in `bits::scalar`:
-// the Boolean/popcount kernels are integer-exact by construction, and the
-// weight sums keep the ascending-order scalar accumulation (SIMD only skips
-// all-zero word blocks), so doubles come out bit-for-bit equal. Sets smaller
-// than kIsaDispatchWords skip the indirect call and run the scalar loop
-// inline — vectors cannot help below one SIMD register of words anyway.
+// ISA dispatch: the seven Boolean/popcount kernels (count, subset_of,
+// disjoint and the fused predicates) additionally have a runtime-dispatched
+// AVX2 implementation (dense_bits_isa.cpp) behind the `Isa` function-pointer
+// table below, selected once per process from CPUID (capped with the
+// EPI_FORCE_ISA environment variable). The AVX2 tier is bit-identical to the
+// scalar reference in `bits::scalar`: the kernels are integer-exact by
+// construction. Sets smaller than kIsaDispatchWords skip the indirect call
+// and run the scalar loop inline — vectors cannot help below one SIMD
+// register of words anyway. The two weight sums are scalar loops only.
 #pragma once
 
 #include <atomic>
@@ -187,13 +186,36 @@ inline void for_each_bit_and(const Word* x, const Word* y, std::size_t nw,
   }
 }
 
+// --- Weight sums ------------------------------------------------------------
+//
+// Not dispatched: a vector tier could only skip all-zero blocks ahead of the
+// same ascending double accumulation, which measured no faster than this
+// loop. Ascending order keeps the sums bit-identical to a per-member loop.
+
+/// Sum of weights[e] over the members of the set — Distribution::prob's
+/// P[A] accumulation as one word scan.
+inline double masked_weight_sum(const Word* w, std::size_t nw,
+                                const double* weights) {
+  double sum = 0.0;
+  for_each_bit(w, nw, [&](std::size_t e) { sum += weights[e]; });
+  return sum;
+}
+
+/// Sum of weights[e] over x ∩ y — P[A∩B] without materializing A∩B.
+inline double intersection_weight_sum(const Word* x, const Word* y,
+                                      std::size_t nw, const double* weights) {
+  double sum = 0.0;
+  for_each_bit_and(x, y, nw, [&](std::size_t e) { sum += weights[e]; });
+  return sum;
+}
+
 // --- Scalar reference kernels -----------------------------------------------
 //
 // The portable implementations of every ISA-dispatched kernel. These are the
-// semantic reference: the AVX2/AVX-512 tiers must return bit-identical
-// results (the `fused-kernels` model check and tests/simd_dispatch_test.cpp
-// sweep that contract). They stay inline so small-set call sites — and
-// non-x86 builds, where they are the only tier — pay no indirection.
+// semantic reference: the AVX2 tier must return bit-identical results (the
+// `fused-kernels` model check and tests/simd_dispatch_test.cpp sweep that
+// contract). They stay inline so small-set call sites — and non-x86 builds,
+// where they are the only tier — pay no indirection.
 
 namespace scalar {
 
@@ -265,33 +287,15 @@ inline bool union_is_universe(const Word* x, const Word* y, std::size_t nw,
   return (x[nw - 1] | y[nw - 1]) == tail_mask(m);
 }
 
-/// Sum of weights[e] over the members of the set — Distribution::prob's
-/// P[A] accumulation as one word scan (ascending order, so floating-point
-/// sums are bit-identical to a per-member loop).
-inline double masked_weight_sum(const Word* w, std::size_t nw,
-                                const double* weights) {
-  double sum = 0.0;
-  for_each_bit(w, nw, [&](std::size_t e) { sum += weights[e]; });
-  return sum;
-}
-
-/// Sum of weights[e] over x ∩ y — P[A∩B] without materializing A∩B.
-inline double intersection_weight_sum(const Word* x, const Word* y,
-                                      std::size_t nw, const double* weights) {
-  double sum = 0.0;
-  for_each_bit_and(x, y, nw, [&](std::size_t e) { sum += weights[e]; });
-  return sum;
-}
-
 }  // namespace scalar
 
 // --- ISA dispatch table -----------------------------------------------------
 
 /// The instruction-set tiers a kernel implementation can target. Higher
 /// tiers subsume lower ones; kScalar is always available.
-enum class IsaTier { kScalar = 0, kAvx2 = 1, kAvx512 = 2 };
+enum class IsaTier { kScalar = 0, kAvx2 = 1 };
 
-/// "scalar" / "avx2" / "avx512".
+/// "scalar" / "avx2".
 const char* to_string(IsaTier tier);
 
 /// One tier's implementations of the dispatched kernels. All entries are
@@ -308,13 +312,10 @@ struct Isa {
   bool (*intersection3_empty)(const Word*, const Word*, const Word*,
                               std::size_t);
   bool (*union_is_universe)(const Word*, const Word*, std::size_t, std::size_t);
-  double (*masked_weight_sum)(const Word*, std::size_t, const double*);
-  double (*intersection_weight_sum)(const Word*, const Word*, std::size_t,
-                                    const double*);
 };
 
 /// The table for `tier`, or nullptr when this build/host cannot run it
-/// (e.g. kAvx2 on non-x86, kAvx512 on an AVX2-only CPU). kScalar is never
+/// (kAvx2 on non-x86 or on a CPU without AVX2). kScalar is never
 /// null. Parity tests iterate tiers through this accessor so every SIMD
 /// path on the host is diffed against the scalar reference.
 const Isa* isa_for(IsaTier tier);
@@ -332,9 +333,10 @@ namespace detail {
 /// Zero before first use (constant-initialized, so no static-init-order
 /// hazard); set by resolve_active_isa() / force_isa().
 extern std::atomic<const Isa*> g_active_isa;
-/// Resolves from CPUID, capped by EPI_FORCE_ISA when set ("scalar", "avx2",
-/// "avx512": the selection never exceeds the named tier, so forcing is
-/// meaningful on any host). Stores and returns the table.
+/// Resolves from CPUID, capped by EPI_FORCE_ISA when set ("scalar" or
+/// "avx2": the selection never exceeds the named tier, so forcing is
+/// meaningful on any host; other values warn and are ignored). Stores and
+/// returns the table.
 const Isa* resolve_active_isa();
 }  // namespace detail
 
@@ -393,20 +395,6 @@ inline bool union_is_universe(const Word* x, const Word* y, std::size_t nw,
                               std::size_t m) {
   if (nw < kIsaDispatchWords) return scalar::union_is_universe(x, y, nw, m);
   return active_isa().union_is_universe(x, y, nw, m);
-}
-
-inline double masked_weight_sum(const Word* w, std::size_t nw,
-                                const double* weights) {
-  if (nw < kIsaDispatchWords) return scalar::masked_weight_sum(w, nw, weights);
-  return active_isa().masked_weight_sum(w, nw, weights);
-}
-
-inline double intersection_weight_sum(const Word* x, const Word* y,
-                                      std::size_t nw, const double* weights) {
-  if (nw < kIsaDispatchWords) {
-    return scalar::intersection_weight_sum(x, y, nw, weights);
-  }
-  return active_isa().intersection_weight_sum(x, y, nw, weights);
 }
 
 }  // namespace bits

@@ -1,17 +1,15 @@
-// Runtime-dispatched SIMD tiers for the epi::bits fused predicates and
-// popcount scans. Each tier is compiled with a per-function target attribute
-// (no global -mavx* flags, so the rest of the binary stays baseline-x86-64
-// and the process can never fault on an unsupported instruction: the tier is
+// The runtime-dispatched AVX2 tier of the epi::bits Boolean and popcount
+// kernels. The tier is compiled with a per-function target attribute (no
+// global -mavx* flags, so the rest of the binary stays baseline-x86-64 and
+// the process can never fault on an unsupported instruction: the tier is
 // only entered after CPUID says it exists).
 //
 // Bit-identity contract (checked by the `fused-kernels` model check and
 // tests/simd_dispatch_test.cpp): every function here returns exactly what
-// its bits::scalar counterpart returns. The Boolean/popcount kernels are
-// integer-exact by construction; the weight sums never vectorize the double
-// accumulation — SIMD is used only to skip all-zero word blocks (which
-// contribute no terms to the scalar sum either), and surviving words are
-// scanned per-bit in ascending order, so the floating-point addition order
-// is literally the scalar order.
+// its bits::scalar counterpart returns. The kernels are integer-exact by
+// construction. The double weight sums are not dispatched at all: a vector
+// tier can only skip zero blocks ahead of the ascending scalar accumulation,
+// and measured at n = 20 that was no faster than the scalar loop.
 #include "worlds/dense_bits.h"
 
 #include <cstdio>
@@ -32,7 +30,6 @@ const char* to_string(IsaTier tier) {
   switch (tier) {
     case IsaTier::kScalar: return "scalar";
     case IsaTier::kAvx2: return "avx2";
-    case IsaTier::kAvx512: return "avx512";
   }
   return "scalar";
 }
@@ -52,8 +49,6 @@ constexpr Isa kScalarIsa = {
     &scalar::intersection_count,
     &scalar::intersection3_empty,
     &scalar::union_is_universe,
-    &scalar::masked_weight_sum,
-    &scalar::intersection_weight_sum,
 };
 
 #if EPI_BITS_X86_SIMD
@@ -190,61 +185,6 @@ __attribute__((target("avx2"))) bool avx2_union_is_universe(const Word* x,
   return (x[full] | y[full]) == tail_mask(m);
 }
 
-__attribute__((target("avx2"))) double avx2_masked_weight_sum(
-    const Word* w, std::size_t nw, const double* weights) {
-  double sum = 0.0;
-  std::size_t i = 0;
-  for (; i + 4 <= nw; i += 4) {
-    const __m256i v = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w + i));
-    if (_mm256_testz_si256(v, v)) continue;  // zero block: no terms either way
-    for (std::size_t j = i; j < i + 4; ++j) {
-      Word word = w[j];
-      while (word != 0) {
-        sum += weights[j * kWordBits +
-                       static_cast<std::size_t>(std::countr_zero(word))];
-        word &= word - 1;
-      }
-    }
-  }
-  for (; i < nw; ++i) {
-    Word word = w[i];
-    while (word != 0) {
-      sum += weights[i * kWordBits +
-                     static_cast<std::size_t>(std::countr_zero(word))];
-      word &= word - 1;
-    }
-  }
-  return sum;
-}
-
-__attribute__((target("avx2"))) double avx2_intersection_weight_sum(
-    const Word* x, const Word* y, std::size_t nw, const double* weights) {
-  double sum = 0.0;
-  std::size_t i = 0;
-  for (; i + 4 <= nw; i += 4) {
-    const __m256i vx = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(x + i));
-    const __m256i vy = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(y + i));
-    if (_mm256_testz_si256(vx, vy)) continue;
-    for (std::size_t j = i; j < i + 4; ++j) {
-      Word word = x[j] & y[j];
-      while (word != 0) {
-        sum += weights[j * kWordBits +
-                       static_cast<std::size_t>(std::countr_zero(word))];
-        word &= word - 1;
-      }
-    }
-  }
-  for (; i < nw; ++i) {
-    Word word = x[i] & y[i];
-    while (word != 0) {
-      sum += weights[i * kWordBits +
-                     static_cast<std::size_t>(std::countr_zero(word))];
-      word &= word - 1;
-    }
-  }
-  return sum;
-}
-
 constexpr Isa kAvx2Isa = {
     "avx2",
     IsaTier::kAvx2,
@@ -255,227 +195,6 @@ constexpr Isa kAvx2Isa = {
     &avx2_intersection_count,
     &avx2_intersection3_empty,
     &avx2_union_is_universe,
-    &avx2_masked_weight_sum,
-    &avx2_intersection_weight_sum,
-};
-
-// ---- AVX-512 tier: 8 words (512 bits) per step ---------------------------
-
-__attribute__((target("avx512f"))) bool avx512_subset_of(const Word* x,
-                                                         const Word* y,
-                                                         std::size_t nw) {
-  std::size_t i = 0;
-  for (; i + 8 <= nw; i += 8) {
-    const __m512i vx = _mm512_loadu_si512(x + i);
-    const __m512i vy = _mm512_loadu_si512(y + i);
-    // Ternary-logic 0x0C is B&~A: x & ~y (sidesteps a gcc-12 spurious
-    // -Wmaybe-uninitialized inside the _mm512_andnot_epi64 header).
-    const __m512i bad = _mm512_ternarylogic_epi64(vy, vx, vx, 0x0C);
-    if (_mm512_test_epi64_mask(bad, bad) != 0) return false;
-  }
-  for (; i < nw; ++i) {
-    if (x[i] & ~y[i]) return false;
-  }
-  return true;
-}
-
-__attribute__((target("avx512f"))) bool avx512_disjoint(const Word* x,
-                                                        const Word* y,
-                                                        std::size_t nw) {
-  std::size_t i = 0;
-  for (; i + 8 <= nw; i += 8) {
-    const __m512i vx = _mm512_loadu_si512(x + i);
-    const __m512i vy = _mm512_loadu_si512(y + i);
-    if (_mm512_test_epi64_mask(vx, vy) != 0) return false;  // lanes with x&y != 0
-  }
-  for (; i < nw; ++i) {
-    if (x[i] & y[i]) return false;
-  }
-  return true;
-}
-
-__attribute__((target("avx512f"))) bool avx512_intersection_subset_of(
-    const Word* s, const Word* b, const Word* a, std::size_t nw) {
-  std::size_t i = 0;
-  for (; i + 8 <= nw; i += 8) {
-    const __m512i vs = _mm512_loadu_si512(s + i);
-    const __m512i vb = _mm512_loadu_si512(b + i);
-    const __m512i va = _mm512_loadu_si512(a + i);
-    // Ternary-logic 0x40 selects the minterm A&B&~C: s & b & ~a in one op.
-    const __m512i bad = _mm512_ternarylogic_epi64(vs, vb, va, 0x40);
-    if (_mm512_test_epi64_mask(bad, bad) != 0) return false;
-  }
-  for (; i < nw; ++i) {
-    if (s[i] & b[i] & ~a[i]) return false;
-  }
-  return true;
-}
-
-__attribute__((target("avx512f"))) bool avx512_intersection3_empty(
-    const Word* x, const Word* y, const Word* z, std::size_t nw) {
-  std::size_t i = 0;
-  for (; i + 8 <= nw; i += 8) {
-    const __m512i vx = _mm512_loadu_si512(x + i);
-    const __m512i vy = _mm512_loadu_si512(y + i);
-    const __m512i vz = _mm512_loadu_si512(z + i);
-    if (_mm512_test_epi64_mask(_mm512_and_epi64(vx, vy), vz) != 0) return false;
-  }
-  for (; i < nw; ++i) {
-    if (x[i] & y[i] & z[i]) return false;
-  }
-  return true;
-}
-
-__attribute__((target("avx512f"))) bool avx512_union_is_universe(
-    const Word* x, const Word* y, std::size_t nw, std::size_t m) {
-  if (nw == 0) return true;
-  const std::size_t full = nw - 1;
-  const __m512i ones = _mm512_set1_epi64(-1);
-  std::size_t i = 0;
-  for (; i + 8 <= full; i += 8) {
-    const __m512i vx = _mm512_loadu_si512(x + i);
-    const __m512i vy = _mm512_loadu_si512(y + i);
-    if (_mm512_cmpneq_epu64_mask(_mm512_or_epi64(vx, vy), ones) != 0) {
-      return false;
-    }
-  }
-  for (; i < full; ++i) {
-    if ((x[i] | y[i]) != ~Word{0}) return false;
-  }
-  return (x[full] | y[full]) == tail_mask(m);
-}
-
-__attribute__((target("avx512f"))) double avx512_masked_weight_sum(
-    const Word* w, std::size_t nw, const double* weights) {
-  double sum = 0.0;
-  std::size_t i = 0;
-  for (; i + 8 <= nw; i += 8) {
-    const __m512i v = _mm512_loadu_si512(w + i);
-    // The lane mask lets us skip individual zero words, not just whole
-    // blocks; lanes are visited in ascending order so the accumulation
-    // order is still exactly the scalar order.
-    __mmask8 live = _mm512_test_epi64_mask(v, v);
-    while (live != 0) {
-      const std::size_t j =
-          i + static_cast<std::size_t>(std::countr_zero(static_cast<unsigned>(live)));
-      live &= static_cast<__mmask8>(live - 1);
-      Word word = w[j];
-      while (word != 0) {
-        sum += weights[j * kWordBits +
-                       static_cast<std::size_t>(std::countr_zero(word))];
-        word &= word - 1;
-      }
-    }
-  }
-  for (; i < nw; ++i) {
-    Word word = w[i];
-    while (word != 0) {
-      sum += weights[i * kWordBits +
-                     static_cast<std::size_t>(std::countr_zero(word))];
-      word &= word - 1;
-    }
-  }
-  return sum;
-}
-
-__attribute__((target("avx512f"))) double avx512_intersection_weight_sum(
-    const Word* x, const Word* y, std::size_t nw, const double* weights) {
-  double sum = 0.0;
-  std::size_t i = 0;
-  for (; i + 8 <= nw; i += 8) {
-    const __m512i vx = _mm512_loadu_si512(x + i);
-    const __m512i vy = _mm512_loadu_si512(y + i);
-    __mmask8 live = _mm512_test_epi64_mask(vx, vy);
-    while (live != 0) {
-      const std::size_t j =
-          i + static_cast<std::size_t>(std::countr_zero(static_cast<unsigned>(live)));
-      live &= static_cast<__mmask8>(live - 1);
-      Word word = x[j] & y[j];
-      while (word != 0) {
-        sum += weights[j * kWordBits +
-                       static_cast<std::size_t>(std::countr_zero(word))];
-        word &= word - 1;
-      }
-    }
-  }
-  for (; i < nw; ++i) {
-    Word word = x[i] & y[i];
-    while (word != 0) {
-      sum += weights[i * kWordBits +
-                     static_cast<std::size_t>(std::countr_zero(word))];
-      word &= word - 1;
-    }
-  }
-  return sum;
-}
-
-/// Lane-sum via store (the _mm512_reduce_add_epi64 sequence trips another
-/// gcc-12 header false positive; a store + 8 adds compiles just as tight).
-__attribute__((target("avx512f"))) inline std::size_t avx512_lane_sum(
-    __m512i acc) {
-  Word lanes[8];
-  _mm512_storeu_si512(lanes, acc);
-  Word c = 0;
-  for (Word lane : lanes) c += lane;
-  return static_cast<std::size_t>(c);
-}
-
-// Native 64-bit lane popcount needs the separate AVX512VPOPCNTDQ extension
-// (Ice Lake+); the resolver only installs these two functions when CPUID
-// reports it, otherwise the AVX-512 table carries the AVX2 Mula popcounts.
-__attribute__((target("avx512f,avx512vpopcntdq"))) std::size_t
-avx512_count_vpopcnt(const Word* w, std::size_t nw) {
-  __m512i acc = _mm512_setzero_si512();
-  std::size_t i = 0;
-  for (; i + 8 <= nw; i += 8) {
-    acc = _mm512_add_epi64(acc, _mm512_popcnt_epi64(_mm512_loadu_si512(w + i)));
-  }
-  std::size_t c = avx512_lane_sum(acc);
-  for (; i < nw; ++i) c += static_cast<std::size_t>(std::popcount(w[i]));
-  return c;
-}
-
-__attribute__((target("avx512f,avx512vpopcntdq"))) std::size_t
-avx512_intersection_count_vpopcnt(const Word* x, const Word* y,
-                                  std::size_t nw) {
-  __m512i acc = _mm512_setzero_si512();
-  std::size_t i = 0;
-  for (; i + 8 <= nw; i += 8) {
-    const __m512i v =
-        _mm512_and_epi64(_mm512_loadu_si512(x + i), _mm512_loadu_si512(y + i));
-    acc = _mm512_add_epi64(acc, _mm512_popcnt_epi64(v));
-  }
-  std::size_t c = avx512_lane_sum(acc);
-  for (; i < nw; ++i) c += static_cast<std::size_t>(std::popcount(x[i] & y[i]));
-  return c;
-}
-
-constexpr Isa kAvx512Isa = {
-    "avx512",
-    IsaTier::kAvx512,
-    &avx2_count,  // no VPOPCNTDQ: Mula popcount is the best available
-    &avx512_subset_of,
-    &avx512_disjoint,
-    &avx512_intersection_subset_of,
-    &avx2_intersection_count,
-    &avx512_intersection3_empty,
-    &avx512_union_is_universe,
-    &avx512_masked_weight_sum,
-    &avx512_intersection_weight_sum,
-};
-
-constexpr Isa kAvx512VpopcntIsa = {
-    "avx512",
-    IsaTier::kAvx512,
-    &avx512_count_vpopcnt,
-    &avx512_subset_of,
-    &avx512_disjoint,
-    &avx512_intersection_subset_of,
-    &avx512_intersection_count_vpopcnt,
-    &avx512_intersection3_empty,
-    &avx512_union_is_universe,
-    &avx512_masked_weight_sum,
-    &avx512_intersection_weight_sum,
 };
 
 #endif  // EPI_BITS_X86_SIMD
@@ -483,7 +202,6 @@ constexpr Isa kAvx512VpopcntIsa = {
 /// Best tier this host can execute (CPUID on x86, scalar elsewhere).
 IsaTier best_supported_tier() {
 #if EPI_BITS_X86_SIMD
-  if (__builtin_cpu_supports("avx512f")) return IsaTier::kAvx512;
   if (__builtin_cpu_supports("avx2")) return IsaTier::kAvx2;
 #endif
   return IsaTier::kScalar;
@@ -498,14 +216,6 @@ const Isa* isa_for(IsaTier tier) {
     case IsaTier::kAvx2:
 #if EPI_BITS_X86_SIMD
       if (__builtin_cpu_supports("avx2")) return &kAvx2Isa;
-#endif
-      return nullptr;
-    case IsaTier::kAvx512:
-#if EPI_BITS_X86_SIMD
-      if (__builtin_cpu_supports("avx512f")) {
-        return __builtin_cpu_supports("avx512vpopcntdq") ? &kAvx512VpopcntIsa
-                                                         : &kAvx512Isa;
-      }
 #endif
       return nullptr;
   }
@@ -531,19 +241,17 @@ const Isa* resolve_active_isa() {
   IsaTier tier = best_supported_tier();
   if (const char* env = std::getenv("EPI_FORCE_ISA")) {
     // The override is a cap, not a promise: requesting a tier the host
-    // lacks degrades to the best supported one, so EPI_FORCE_ISA=avx512 is
-    // safe (and meaningful) in CI matrices that include AVX2-only runners.
+    // lacks degrades to the best supported one, so EPI_FORCE_ISA=avx2 is
+    // safe (and meaningful) in CI matrices that include non-AVX2 runners.
     IsaTier requested = tier;
     if (std::strcmp(env, "scalar") == 0) {
       requested = IsaTier::kScalar;
     } else if (std::strcmp(env, "avx2") == 0) {
       requested = IsaTier::kAvx2;
-    } else if (std::strcmp(env, "avx512") == 0) {
-      requested = IsaTier::kAvx512;
     } else if (env[0] != '\0') {
       std::fprintf(stderr,
                    "epi::bits: ignoring unknown EPI_FORCE_ISA=\"%s\" "
-                   "(expected scalar|avx2|avx512)\n",
+                   "(expected scalar|avx2)\n",
                    env);
     }
     if (requested < tier) tier = requested;
