@@ -13,7 +13,11 @@
 //      amortizes disclosure compilation; reported per batch size and prior;
 //   4. tracing (product prior): the same workload with the span sink off
 //      versus installed, reporting the tracing overhead — the off row is
-//      the number the <2% no-op gate watches.
+//      the number the <2% no-op gate watches;
+//   5. cold subcube audit: a fresh Auditor's first audit_many of the
+//      policy family at 11 records, which builds the subcube interval
+//      oracle and every property's Delta classes, with the process's
+//      peak-RSS growth alongside (run first, while the peak is still low).
 //
 // `--rate-only` prints a single "rate=<audits/sec>" line (tracing off,
 // product prior) for CI to diff against an EPI_OBS_NOOP build.
@@ -22,6 +26,8 @@
 // covering all five axes in the shared bench_json.h schema; BENCH_audit.json
 // at the repo root is the checked-in baseline the CI perf gate diffs
 // against (see tools/bench_compare.py).
+#include <sys/resource.h>
+
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -76,6 +82,29 @@ Workload rate_workload() {
   return make_hospital_workload(options);
 }
 
+/// A registered family's workload at its default knobs (seeded away from
+/// the golden snapshots), with `records` overriding the universe size
+/// (0: the family default). Reports on stderr and returns false on failure.
+bool generate_family(const char* name, unsigned records,
+                     workloads::GeneratedWorkload* out) {
+  const workloads::WorkloadFamily* family = workloads::find_family(name);
+  workloads::FamilyOptions options;
+  options.seed = 0xAB5;
+  options.records = records;
+  if (family == nullptr || !family->generate(options, out).ok()) {
+    std::fprintf(stderr, "family generation failed: %s\n", name);
+    return false;
+  }
+  return true;
+}
+
+/// The process's peak resident set so far, in MiB.
+double peak_rss_mib() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  return static_cast<double>(usage.ru_maxrss) / 1024.0;  // KiB on Linux
+}
+
 /// Cycles the workload's audit candidates (negating every third) into a
 /// batch of `count` distinct-looking sensitive properties.
 std::vector<std::string> property_batch(const Workload& workload,
@@ -102,9 +131,54 @@ int main(int argc, char** argv) {
   }
   const bool json = argc > 1 && std::strcmp(argv[1], "--json") == 0;
   bench::JsonReport report("audit_throughput");
-
   if (!json) {
     std::printf("=== E13 (extension): offline audit throughput ===\n\n");
+  }
+
+  // Cold subcube audit, first so the peak-RSS growth is this row's own.
+  // Each pass is one fresh Auditor's first audit_many; one pass takes a
+  // few milliseconds, so the row reports the median of kColdPasses.
+  {
+    constexpr int kColdPasses = 21;
+    workloads::GeneratedWorkload generated;
+    if (!generate_family("policy", 11, &generated)) return 1;
+    const AuditLog log = generated.to_log();
+    const double rss_before = peak_rss_mib();
+    std::vector<double> rates;
+    for (int pass = 0; pass < kColdPasses; ++pass) {
+      Auditor auditor(generated.universe, generated.prior,
+                      throughput_options(1));
+      const auto t0 = std::chrono::steady_clock::now();
+      const std::vector<AuditReport> reports =
+          auditor.audit_many(log, generated.audit_queries);
+      const double seconds = std::chrono::duration<double>(
+                                 std::chrono::steady_clock::now() - t0)
+                                 .count();
+      std::size_t audited = 0;
+      for (const AuditReport& r : reports) {
+        audited += r.per_disclosure.size() + r.per_user_cumulative.size();
+      }
+      rates.push_back(static_cast<double>(audited) / seconds);
+    }
+    std::nth_element(rates.begin(), rates.begin() + kColdPasses / 2,
+                     rates.end());
+    const double rate = rates[kColdPasses / 2];
+    const double rss_growth = peak_rss_mib() - rss_before;
+    if (!json) {
+      std::printf(
+          "cold subcube audit (policy, %u records, %zu requests): %.0f "
+          "audits/sec, peak RSS +%.1f MiB\n\n",
+          generated.universe.size(), log.size(), rate, rss_growth);
+    }
+    report.row("cold_subcube")
+        .field("family", "policy")
+        .field("records", generated.universe.size())
+        .field("requests", log.size())
+        .field("audits_per_sec", rate, 0)
+        .field("peak_rss_growth_mib", rss_growth, 1);
+  }
+
+  if (!json) {
     std::printf("%9s %8s %18s %12s | %6s %7s %8s\n", "patients", "queries",
                 "prior", "audits/sec", "safe", "unsafe", "unknown");
   }
@@ -229,10 +303,10 @@ int main(int argc, char** argv) {
   }
   // One row per registered family at its default knobs (seeded away from the
   // golden snapshots), plus a rectangles row at the 32-coordinate symbolic
-  // ceiling. The policy family is capped at 8 records so the subcube-prior
-  // interval oracle stays bench-sized; dense rectangles at 20 so the
-  // 2^n-bit sets don't dominate the whole bench (the symbolic row covers
-  // the large-n regime far faster than dense n=24 would).
+  // ceiling. The policy family stays at 8 records (the cold_subcube row
+  // above covers 11); dense rectangles at 20 so the 2^n-bit sets don't
+  // dominate the whole bench (the symbolic row covers the large-n regime
+  // far faster than dense n=24 would).
   {
     struct FamilyPoint {
       const char* family;
@@ -242,17 +316,8 @@ int main(int argc, char** argv) {
                                   {"policy", 8},   {"collusion", 0},
                                   {"rectangles", 20}, {"rectangles", 32}};
     for (const FamilyPoint& point : points) {
-      const workloads::WorkloadFamily* family =
-          workloads::find_family(point.family);
-      workloads::FamilyOptions family_options;
-      family_options.seed = 0xAB5;
-      family_options.records = point.records;
       workloads::GeneratedWorkload generated;
-      if (family == nullptr ||
-          !family->generate(family_options, &generated).ok()) {
-        std::fprintf(stderr, "family generation failed: %s\n", point.family);
-        return 1;
-      }
+      if (!generate_family(point.family, point.records, &generated)) return 1;
       Auditor auditor(generated.universe, generated.prior,
                       throughput_options(1));
       const AuditLog log = generated.to_log();

@@ -14,7 +14,9 @@
 //
 // One pass is only ~80 requests (well under a millisecond warm), so every
 // row reports the median of kPasses passes, each on a fresh service: one
-// pass alone moves by tens of percent with scheduler noise.
+// pass alone moves by tens of percent with scheduler noise. A batch
+// admission pass times kBatchesPerPass copies of the log per mode, since
+// one ~80 us process_many is too short to time alone.
 //
 // `--rate-only` prints a single "rate=<requests/sec>" line (warm cache,
 // 4 client threads) for CI trend lines and A/B runs.
@@ -41,6 +43,9 @@ namespace {
 
 /// Passes per row; odd, so the median is one measured pass.
 constexpr int kPasses = 101;
+
+/// Log batches timed per batch_admission pass, in each mode.
+constexpr int kBatchesPerPass = 16;
 
 double median(std::vector<double> values) {
   std::nth_element(values.begin(), values.begin() + values.size() / 2,
@@ -183,24 +188,29 @@ int main(int argc, char** argv) {
 
   // --- batch admission: process_many vs a per-request loop, one client ----
   {
-    const double n = static_cast<double>(workload.log.size());
+    const double n =
+        static_cast<double>(kBatchesPerPass * workload.log.size());
     std::vector<double> loop, batch;
     for (int pass = 0; pass < kPasses; ++pass) {
       std::unique_ptr<service::AuditService> svc = make_service(workload, 2);
       run_pass(*svc, workload, 1);  // warm cache and allocator
 
-      std::vector<service::AuditRequest> requests = log_batch(workload);
+      std::vector<std::vector<service::AuditRequest>> batches(
+          kBatchesPerPass, log_batch(workload));
       auto t0 = std::chrono::steady_clock::now();
-      for (service::AuditRequest& request : requests) {
-        svc->process(request);
+      for (const std::vector<service::AuditRequest>& requests : batches) {
+        for (const service::AuditRequest& request : requests) {
+          svc->process(request);
+        }
       }
       loop.push_back(n / std::chrono::duration<double>(
                              std::chrono::steady_clock::now() - t0)
                              .count());
 
       t0 = std::chrono::steady_clock::now();
-      const std::vector<service::AuditResponse> responses =
-          svc->process_many(std::move(requests));
+      for (std::vector<service::AuditRequest>& requests : batches) {
+        svc->process_many(std::move(requests));
+      }
       batch.push_back(n / std::chrono::duration<double>(
                               std::chrono::steady_clock::now() - t0)
                               .count());

@@ -84,6 +84,17 @@ std::vector<FiniteSet> IntervalOracle::minimal_intervals(std::size_t w1,
 std::vector<FiniteSet> IntervalOracle::delta_partition(const FiniteSet& x,
                                                        std::size_t w1) const {
   std::vector<FiniteSet> classes;
+  // Condition (14): without w1 in C no pair (w1, S) is in K, so no interval
+  // starts at w1.
+  if (!c_.contains(w1)) return classes;
+  if (std::optional<std::vector<std::size_t>> singletons =
+          sigma_->tight_delta_classes(w1, x)) {
+    classes.reserve(singletons->size());
+    for (const std::size_t w2 : *singletons) {
+      classes.push_back(FiniteSet::singleton(x.universe_size(), w2));
+    }
+    return classes;
+  }
   for (const FiniteSet& iv : minimal_intervals(w1, x)) {
     classes.push_back(iv & x);
   }
@@ -129,12 +140,12 @@ bool IntervalOracle::safe_minimal_intervals(const FiniteSet& a,
                                             const FiniteSet& b) const {
   obs::ScopedSpan span("oracle.safe-minimal-intervals");
   const FiniteSet outside_a = ~a;
-  const FiniteSet b_minus_a = b - a;
   bool safe = true;
   visit_intersection(a, b, [&](std::size_t w1) {
     if (!safe) return;
-    for (const FiniteSet& iv : minimal_intervals(w1, outside_a)) {
-      if (iv.disjoint_with(b_minus_a)) {
+    // A minimal interval I misses B − A iff its class I ∩ (Ω − A) misses B.
+    for (const FiniteSet& cls : delta_partition(outside_a, w1)) {
+      if (cls.disjoint_with(b)) {
         safe = false;
         return;
       }

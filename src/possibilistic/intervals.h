@@ -1,6 +1,12 @@
 // K-intervals and the interval-based privacy tests for intersection-closed
 // second-level knowledge (Section 4.1 of the paper: Definitions 4.4/4.7/4.11/
 // 4.13, Propositions 4.5/4.8/4.10, Corollaries 4.12/4.14).
+//
+// The Delta classes behind Cor. 4.12 come from one place, delta_partition:
+// a family with tight intervals may state them in closed form
+// (SigmaFamily::tight_delta_classes, e.g. the subcube family's
+// minimality sweep); every other family goes through the minimal-interval
+// scan over memoized interval() calls.
 #pragma once
 
 #include <cstddef>
@@ -19,9 +25,11 @@ namespace epi {
 ///
 /// All interval queries are memoized, so auditing many disclosures B_1..B_N
 /// against one audit query A reuses the computed structure (the amortization
-/// pointed out after Proposition 4.1). The memo is internally synchronized:
-/// every const member (and PreparedAudit::safe) may be called concurrently
-/// from multiple audit worker threads.
+/// pointed out after Proposition 4.1). A family that answers
+/// tight_delta_classes never reaches the memo from delta_partition,
+/// safe_minimal_intervals or prepare. The memo is internally
+/// synchronized: every const member (and PreparedAudit::safe) may be called
+/// concurrently from multiple audit worker threads.
 class IntervalOracle {
  public:
   /// `sigma` must be intersection-closed; throws std::invalid_argument if the
@@ -40,7 +48,10 @@ class IntervalOracle {
   std::vector<FiniteSet> minimal_intervals(std::size_t w1, const FiniteSet& x) const;
 
   /// Delta_K(X, w1) of Definition 4.11: the disjoint equivalence classes
-  /// X ∩ I over the minimal intervals I from w1 to X (Proposition 4.10).
+  /// X ∩ I over the minimal intervals I from w1 to X (Proposition 4.10),
+  /// ordered by their least world. Empty unless w1 ∈ C (condition (14)).
+  /// Takes the family's closed form when it has one, else scans
+  /// minimal_intervals.
   std::vector<FiniteSet> delta_partition(const FiniteSet& x, std::size_t w1) const;
 
   /// Definition 4.13: every world of an interval other than its endpoint
@@ -53,7 +64,7 @@ class IntervalOracle {
   bool safe_all_intervals(const FiniteSet& a, const FiniteSet& b) const;
 
   /// Proposition 4.8 / Corollary 4.12: the same test restricted to intervals
-  /// minimal from w1 in A∩B to Omega - A.
+  /// minimal from w1 in A∩B to Omega - A, read off delta_partition.
   bool safe_minimal_intervals(const FiniteSet& a, const FiniteSet& b) const;
 
   /// Corollary 4.14: the safety-margin map beta : A -> P(Omega - A) with

@@ -36,6 +36,18 @@ class SigmaFamily {
   /// contains both (Definition 4.4 without the C gate; callers apply C).
   /// Only meaningful for intersection-closed families.
   virtual std::optional<FiniteSet> interval(std::size_t w1, std::size_t w2) const = 0;
+
+  /// Optional closed form for Delta(X, w1) of Definition 4.11, without the C
+  /// gate (IntervalOracle applies C). Only a family whose intervals are tight
+  /// (Def. 4.13) may answer: then every Delta class is a singleton {w2}
+  /// (Cor. 4.14), and the answer lists those w2 in ascending order — exactly
+  /// the classes the minimal-interval scan would find, in its order. The
+  /// default returns nullopt, and IntervalOracle falls back to that scan
+  /// over memoized interval() calls.
+  virtual std::optional<std::vector<std::size_t>> tight_delta_classes(
+      std::size_t /*w1*/, const FiniteSet& /*x*/) const {
+    return std::nullopt;
+  }
 };
 
 /// A family given by an explicit list of sets.

@@ -6,6 +6,14 @@
 // together: the family is intersection-closed, its K-interval is
 //     I(w1, w2) = Box(Match(w1, w2))            (Definition 5.8's objects!),
 // and the intervals are tight, so the beta margin of Corollary 4.14 exists.
+//
+// Tightness makes the Delta classes closed-form. A world x lies in
+// Box(Match(w1, w2)) iff x xor w1 ⊆ w2 xor w1 (as coordinate sets), so
+// I(w1, w2) is minimal to X exactly when w2 xor w1 is ⊆-minimal in
+// D = X xor w1, and its class is then {w2}:
+//     beta(w1) = w1 xor Min⊆{w1 xor x : x in X}.
+// tight_delta_classes() computes it with a word-parallel sweep over the
+// 2^n-bit image of D, never materializing an interval.
 #pragma once
 
 #include "possibilistic/sigma_family.h"
@@ -44,6 +52,10 @@ class SubcubeSigma : public SigmaFamily {
   bool is_intersection_closed() const override { return true; }
   /// Box(Match(w1, w2)) — always exists.
   std::optional<FiniteSet> interval(std::size_t w1, std::size_t w2) const override;
+  /// The ascending w2 with w2 xor w1 ⊆-minimal in X xor w1 (see above):
+  /// O(n * 2^n / 64) word operations and O(2^n) bits of scratch per call.
+  std::optional<std::vector<std::size_t>> tight_delta_classes(
+      std::size_t w1, const FiniteSet& x) const override;
 
  private:
   unsigned n_;

@@ -204,11 +204,12 @@ void check_probabilistic_unrestricted(Rng& rng, const ModelCheckOptions& opt,
 void check_sigma_intervals(Rng& rng, const ModelCheckOptions& opt,
                            Failures& out) {
   // Draw a knowledge family: explicit intersection-closed, laminar hierarchy,
-  // the full power set, or Example 4.9's integer-rectangle grid.
+  // the full power set, the subcubes of {0,1}^n (whose Delta classes take
+  // the closed form), or Example 4.9's integer-rectangle grid.
   std::shared_ptr<const SigmaFamily> family;
   const char* kind;
   std::size_t m;
-  switch (rng.next_below(4)) {
+  switch (rng.next_below(5)) {
     case 0: {
       m = 2 + rng.next_below(opt.max_m - 1);
       family = std::make_shared<ExplicitSigma>(random_closed_family(rng, m));
@@ -225,6 +226,16 @@ void check_sigma_intervals(Rng& rng, const ModelCheckOptions& opt,
       m = 2 + rng.next_below(opt.max_m - 1);
       family = std::make_shared<PowerSetSigma>(m);
       kind = "powerset";
+      break;
+    }
+    case 3: {
+      unsigned max_n = 1;  // floor(log2(max_m)), at least 1
+      while ((std::size_t{2} << max_n) <= opt.max_m) ++max_n;
+      const unsigned n = 1 + static_cast<unsigned>(rng.next_below(max_n));
+      auto subcubes = std::make_shared<SubcubeSigma>(n);
+      m = subcubes->universe_size();
+      family = std::move(subcubes);
+      kind = "subcubes";
       break;
     }
     default: {

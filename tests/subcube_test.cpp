@@ -4,6 +4,7 @@
 #include <memory>
 
 #include "core/auditor.h"
+#include "obs/metrics.h"
 #include "possibilistic/intervals.h"
 #include "possibilistic/knowledge.h"
 #include "possibilistic/safe.h"
@@ -80,6 +81,78 @@ TEST(SubcubeSigma, OracleMatchesDefinitionOnRandomPairs) {
     EXPECT_EQ(oracle.safe_minimal_intervals(a, b), safe_possibilistic(k, a, b))
         << "A=" << a.to_string() << " B=" << b.to_string();
   }
+}
+
+// The closed-form Delta classes (SubcubeSigma::tight_delta_classes) against
+// the generic minimal-interval scan over the very same family given as an
+// explicit list of its 3^n subcubes: identical classes in identical order,
+// from delta_partition and from prepare, for every w1 of the universe.
+void expect_generic_classes(const IntervalOracle& closed,
+                            const IntervalOracle& generic, const FiniteSet& a) {
+  const FiniteSet outside_a = ~a;
+  const IntervalOracle::PreparedAudit prepared_closed = closed.prepare(a);
+  const IntervalOracle::PreparedAudit prepared_generic = generic.prepare(a);
+  EXPECT_EQ(prepared_closed.class_count(), prepared_generic.class_count());
+  for (std::size_t w1 = 0; w1 < a.universe_size(); ++w1) {
+    EXPECT_EQ(closed.delta_partition(outside_a, w1),
+              generic.delta_partition(outside_a, w1))
+        << "A=" << a.to_string() << " C=" << closed.c().to_string()
+        << " w1=" << w1;
+    EXPECT_EQ(prepared_closed.classes(w1), prepared_generic.classes(w1))
+        << "A=" << a.to_string() << " C=" << closed.c().to_string()
+        << " w1=" << w1;
+  }
+}
+
+TEST(SubcubeSigma, ClosedFormDeltaClassesMatchGenericScanEverywhereSmall) {
+  for (unsigned n = 1; n <= 3; ++n) {
+    auto sigma = std::make_shared<SubcubeSigma>(n);
+    auto explicit_sigma = std::make_shared<ExplicitSigma>(sigma->enumerate());
+    const std::size_t m = sigma->universe_size();
+    ASSERT_TRUE(sigma->tight_delta_classes(0, FiniteSet::universe(m)));
+    ASSERT_FALSE(explicit_sigma->tight_delta_classes(0, FiniteSet::universe(m)));
+    const IntervalOracle closed(sigma, FiniteSet::universe(m));
+    const IntervalOracle generic(explicit_sigma, FiniteSet::universe(m));
+    for (std::size_t mask = 0; mask < (std::size_t{1} << m); ++mask) {
+      FiniteSet a(m);
+      for (std::size_t e = 0; e < m; ++e) {
+        if ((mask >> e) & 1) a.insert(e);
+      }
+      expect_generic_classes(closed, generic, a);
+    }
+  }
+}
+
+TEST(SubcubeSigma, ClosedFormDeltaClassesMatchGenericScanOnRandomAandC) {
+  // 200 random (A, C) pairs: per n, 5 auditor sets C with 10 queries A each
+  // (the generic oracle's constructor rescans all 3^n sets for closure).
+  Rng rng(2008);
+  for (unsigned n = 4; n <= 7; ++n) {
+    auto sigma = std::make_shared<SubcubeSigma>(n);
+    auto explicit_sigma = std::make_shared<ExplicitSigma>(sigma->enumerate());
+    const std::size_t m = sigma->universe_size();
+    for (int c_trial = 0; c_trial < 5; ++c_trial) {
+      const FiniteSet c = FiniteSet::random(m, rng, 0.7);
+      const IntervalOracle closed(sigma, c);
+      const IntervalOracle generic(explicit_sigma, c);
+      for (int a_trial = 0; a_trial < 10; ++a_trial) {
+        expect_generic_classes(closed, generic, FiniteSet::random(m, rng, 0.5));
+      }
+    }
+  }
+}
+
+TEST(SubcubeSigma, PreparedAuditLeavesTheIntervalMemoAlone) {
+  auto sigma = std::make_shared<SubcubeSigma>(6);
+  const IntervalOracle oracle(sigma, FiniteSet::universe(64));
+  obs::Counter& lookups =
+      obs::process_metrics().counter("oracle.interval.lookups");
+  const std::int64_t before = lookups.value();
+  Rng rng(5);
+  const FiniteSet a = FiniteSet::random(64, rng, 0.5);
+  const FiniteSet b = FiniteSet::random(64, rng, 0.5);
+  EXPECT_EQ(oracle.prepare(a).safe(b), oracle.safe_minimal_intervals(a, b));
+  EXPECT_EQ(lookups.value(), before);
 }
 
 TEST(SubcubeAuditor, ImplicationSafeDirectUnsafe) {

@@ -13,7 +13,8 @@ their metric fields (the floats). A metric's name carries its direction:
   *_ns                       lower is better — fail when fresh rises more
                              than the tolerance above baseline
   anything else              informational, never gated (verdict counts,
-                             hit rates, overhead percentages)
+                             hit rates, overhead percentages, *_mib memory
+                             figures)
 
 Noise guards, so a 10% gate is usable on shared CI runners:
   * several fresh snapshots may be given; each metric gates against its
@@ -32,9 +33,13 @@ Noise guards, so a 10% gate is usable on shared CI runners:
 Exit status: 0 clean, 1 regression(s) found, 2 usage / schema trouble.
 
 Refreshing the baseline (the documented workflow, see README): rebuild
-Release, run each bench with `--json > BENCH_<name>.json`, and commit the
-new snapshots together with the change that moved them — the diff is the
-perf trajectory.
+Release, run each bench three times with `--json`, fold the runs with
+`--write-best BENCH_<name>.json`, and commit the new snapshot together with
+the change that moved it — the diff is the perf trajectory. The written
+snapshot copies each row whole from one run: the run holding the median of
+the row's first gated metric. Its derived fields (speedups, overheads) then
+agree with their operands, which a per-metric best-of fold would not
+guarantee.
 """
 
 import argparse
@@ -67,11 +72,15 @@ def direction(key):
 def is_metric(key):
     """Measured fields — excluded from row identity, gated per direction().
 
-    *_pct fields (tracing overhead, cache hit rates) and tail percentiles
-    are derived from timings and vary run to run; leaving them in the row
+    *_pct fields (tracing overhead, cache hit rates), *_mib fields (memory
+    growth) and tail percentiles vary run to run; leaving them in the row
     key would make every comparison report the row as missing.
     """
-    return direction(key) != 0 or key.endswith("_pct") or key in TAIL_METRICS
+    return (
+        direction(key) != 0
+        or key.endswith(("_pct", "_mib"))
+        or key in TAIL_METRICS
+    )
 
 
 def row_key(row):
@@ -115,6 +124,34 @@ def merge_best(snapshots):
                     best[metric] = value
                 elif (value > have) if d == 1 else (value < have):
                     best[metric] = value
+    return merged
+
+
+def first_gated_metric(row):
+    """The row's first directional metric in field order, or None."""
+    for metric, value in row.items():
+        if isinstance(value, (int, float)) and direction(metric) != 0:
+            return metric
+    return None
+
+
+def merge_median(snapshots):
+    """Folds several fresh runs into one snapshot of whole rows.
+
+    Each row is copied unchanged from the run holding the median of its
+    first gated metric (for an even count, the worse of the two middle
+    runs); a row without one comes from the first run that has it.
+    """
+    merged = {}
+    for key in dict.fromkeys(k for rows in snapshots for k in rows):
+        runs = [rows[key] for rows in snapshots if key in rows]
+        metric = first_gated_metric(runs[0])
+        if metric is None:
+            merged[key] = dict(runs[0])
+            continue
+        runs = [r for r in runs if isinstance(r.get(metric), (int, float))]
+        runs.sort(key=lambda r: r[metric], reverse=direction(metric) == 1)
+        merged[key] = dict(runs[len(runs) // 2])
     return merged
 
 
@@ -192,7 +229,8 @@ def main():
     parser.add_argument(
         "--write-best",
         metavar="PATH",
-        help="write the merged best-of fresh runs as a snapshot document "
+        help="write the fresh runs as a snapshot document, each row copied "
+        "whole from the run holding the median of its first gated metric "
         "(the baseline-refresh payload)",
     )
     args = parser.parse_args()
@@ -211,7 +249,10 @@ def main():
     if args.write_best:
         with open(args.write_best, "w") as f:
             json.dump(
-                {"bench": base_name, "results": list(fresh.values())},
+                {
+                    "bench": base_name,
+                    "results": list(merge_median(fresh_snapshots).values()),
+                },
                 f,
                 indent=1,
             )
