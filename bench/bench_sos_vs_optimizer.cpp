@@ -9,6 +9,7 @@
 //    criterion, the degree-bounded Positivstellensatz (Thm. 6.7) certifies
 //    the safe ones while coordinate ascent refutes the unsafe ones — we
 //    report the agreement matrix and timing of the two.
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 
@@ -64,8 +65,10 @@ int main() {
   for (int t = 0; t < 4000 && considered < 60; ++t) {
     WorldSet a = WorldSet::random(3, rng, 0.5);
     WorldSet b = WorldSet::random(3, rng, 0.5);
-    if (run_criteria(product_criteria(), a, b, "exhausted").verdict !=
-        Verdict::kUnknown) {
+    const std::vector<NamedCriterion>& table = product_criteria();
+    if (std::any_of(table.begin(), table.end(), [&](const NamedCriterion& c) {
+          return c.test(a, b).verdict != Verdict::kUnknown;
+        })) {
       continue;
     }
     ++considered;

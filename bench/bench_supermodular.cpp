@@ -12,9 +12,9 @@
 #include <algorithm>
 #include <cstdio>
 
-#include "criteria/pipeline.h"
 #include "criteria/monotonicity.h"
 #include "criteria/supermodular.h"
+#include "engine/decision_engine.h"
 #include "probabilistic/modularity.h"
 #include "worlds/monotone.h"
 
@@ -67,10 +67,12 @@ int main() {
   // Decision envelope on random instances.
   int safe_v = 0, unsafe_v = 0, unknown_v = 0;
   const int trials = 3000;
+  const DecisionEngine engine(n, PriorAssumption::kLogSupermodular);
+  AuditContext ctx;
   for (int t = 0; t < trials; ++t) {
     WorldSet a = WorldSet::random(n, rng, 0.4);
     WorldSet b = WorldSet::random(n, rng, 0.4);
-    switch (run_criteria(supermodular_criteria(), a, b, "exhausted").verdict) {
+    switch (engine.decide(a, b, ctx).verdict) {
       case Verdict::kSafe:
         ++safe_v;
         break;

@@ -11,9 +11,9 @@
 #include <functional>
 
 #include "criteria/miklau_suciu.h"
-#include "criteria/pipeline.h"
 #include "db/parser.h"
 #include "db/record.h"
+#include "engine/decision_engine.h"
 #include "probabilistic/distribution.h"
 
 using namespace epi;
@@ -101,14 +101,16 @@ int main() {
   std::printf("verdict comparison for the implication query:\n");
   std::printf("  perfect secrecy (Miklau-Suciu, shares critical record r1): %s\n",
               miklau_suciu_independent(a, b) ? "allows" : "REJECTS");
-  const PipelineResult unrestricted =
-      run_criteria(unrestricted_criteria(), a, b, "unreachable");
-  const PipelineResult product = run_criteria(
-      product_criteria(), a, b, "exhausted-combinatorial-criteria");
+  AuditContext unrestricted_ctx, product_ctx;  // the pair memo is per prior
+  const EngineDecision unrestricted =
+      DecisionEngine(2, PriorAssumption::kUnrestricted)
+          .decide(a, b, unrestricted_ctx);
+  const EngineDecision product =
+      DecisionEngine(2, PriorAssumption::kProduct).decide(a, b, product_ctx);
   std::printf("  epistemic privacy, unrestricted priors (Thm 3.11):         %s\n",
               unrestricted.verdict == Verdict::kSafe ? "allows" : "rejects");
   std::printf("  epistemic privacy, product priors (pipeline):              %s (%s)\n",
               product.verdict == Verdict::kSafe ? "allows" : "rejects",
-              product.criterion.c_str());
+              product.method.c_str());
   return 0;
 }

@@ -6,7 +6,6 @@
 #include "criteria/monotonicity.h"
 #include "criteria/supermodular.h"
 #include "criteria/unconditional.h"
-#include "probabilistic/safe.h"
 
 namespace epi {
 namespace {
@@ -56,31 +55,11 @@ CriterionOutcome supermodular_refutation(const WorldSet& a, const WorldSet& b) {
   return o;
 }
 
-// Theorem 3.11 is complete over the unrestricted prior family: every pair is
-// decided, unsafe ones with an explicit witness prior.
-CriterionOutcome theorem_311_definite(const WorldSet& a, const WorldSet& b) {
-  CriterionOutcome o;
-  if (unconditionally_safe(a, b)) {
-    o.verdict = Verdict::kSafe;
-  } else {
-    o.verdict = Verdict::kUnsafe;
-    o.witness_distribution = unrestricted_witness(a, b);
-  }
-  return o;
-}
-
 // The 3^n box tables are memory-bound; above the TernaryTable limit the
 // stage is skipped rather than failing the whole cascade.
 constexpr unsigned kBoxTableMaxN = 14;
 
 }  // namespace
-
-const std::vector<NamedCriterion>& unrestricted_criteria() {
-  static const std::vector<NamedCriterion> kTable = {
-      {"theorem-3.11", 0, theorem_311_definite},
-  };
-  return kTable;
-}
 
 const std::vector<NamedCriterion>& product_criteria() {
   static const std::vector<NamedCriterion> kTable = {
@@ -101,25 +80,6 @@ const std::vector<NamedCriterion>& supermodular_criteria() {
       {"box-necessary", kBoxTableMaxN, box_necessary},
   };
   return kTable;
-}
-
-PipelineResult run_criteria(const std::vector<NamedCriterion>& cascade,
-                            const WorldSet& a, const WorldSet& b,
-                            const char* exhausted_label) {
-  PipelineResult r;
-  for (const NamedCriterion& c : cascade) {
-    if (c.max_n != 0 && a.n() > c.max_n) continue;
-    CriterionOutcome o = c.test(a, b);
-    if (o.verdict == Verdict::kUnknown) continue;
-    r.verdict = o.verdict;
-    r.criterion = c.name;
-    r.witness_distribution = std::move(o.witness_distribution);
-    r.witness_product = std::move(o.witness_product);
-    return r;
-  }
-  r.verdict = Verdict::kUnknown;
-  r.criterion = exhausted_label;
-  return r;
 }
 
 }  // namespace epi

@@ -1,16 +1,13 @@
-// Staged decision procedures combining the paper's criteria. Cheap
-// combinatorial tests run first; every definite verdict carries the name of
-// the deciding criterion, and unsafe verdicts carry a witness prior.
-//
-// The criteria themselves are exposed as ordered tables of NamedCriterion;
-// run_criteria() walks a table in order and is the single cascade runner the
-// DecisionEngine (src/engine/) builds on — there is exactly one way to run a
-// cascade. (The legacy decide_*_safety wrappers are gone; callers go through
-// run_criteria or the engine.)
+// The paper's combinatorial criteria as ordered decision tables. Each
+// NamedCriterion entry is one test (Thm. 3.11, Miklau-Suciu, Prop. 5.9, ...)
+// that either decides an (A, B) pair, with a witness prior when unsafe, or
+// passes it on. The tables are data: the DecisionEngine (src/engine/) wraps
+// each entry in a TableStage and is the only code that walks a cascade, so
+// the tables carry no runner of their own. Callers that need one entry's
+// answer (tests, model checks, benches) call its `test` directly.
 #pragma once
 
 #include <optional>
-#include <string>
 #include <vector>
 
 #include "criteria/verdict.h"
@@ -19,17 +16,6 @@
 #include "worlds/world_set.h"
 
 namespace epi {
-
-/// A staged decision with provenance.
-struct PipelineResult {
-  Verdict verdict = Verdict::kUnknown;
-  /// Which criterion decided (e.g. "miklau-suciu", "cancellation").
-  std::string criterion;
-  /// For unsafe verdicts: a general witness prior...
-  std::optional<Distribution> witness_distribution;
-  /// ...or a product witness when the deciding criterion produces one.
-  std::optional<ProductDistribution> witness_product;
-};
 
 /// One criterion's answer: kUnknown passes the pair to the next entry.
 struct CriterionOutcome {
@@ -47,10 +33,6 @@ struct NamedCriterion {
   CriterionOutcome (*test)(const WorldSet& a, const WorldSet& b);
 };
 
-/// The unrestricted cascade (all priors): Theorem 3.11 alone, and it always
-/// decides — safe or unsafe with a witness prior.
-const std::vector<NamedCriterion>& unrestricted_criteria();
-
 /// The product-prior cascade (Pi_m0): Theorem 3.11, Miklau-Suciu (Thm 5.7),
 /// monotonicity, cancellation (Prop 5.9) for "safe"; the box-count criterion
 /// (Prop 5.10, n <= 14) for "unsafe".
@@ -60,13 +42,5 @@ const std::vector<NamedCriterion>& product_criteria();
 /// for "safe"; Proposition 5.2 (4-point witness) and — since Pi_m0 ⊆ Pi_m+ —
 /// the box-count criterion for "unsafe".
 const std::vector<NamedCriterion>& supermodular_criteria();
-
-/// Runs a cascade in order; the first definite verdict wins and carries the
-/// deciding criterion's name. When every entry passes (or is skipped by its
-/// max_n gate) the result is kUnknown labelled `exhausted_label` — the
-/// caller's cue to escalate to the optimizer / algebraic layer.
-PipelineResult run_criteria(const std::vector<NamedCriterion>& cascade,
-                            const WorldSet& a, const WorldSet& b,
-                            const char* exhausted_label);
 
 }  // namespace epi

@@ -61,6 +61,10 @@ struct EngineDecision {
   bool certified = false;
   double numeric_gap = 0.0;
   std::string detail;
+  /// The product witness `detail` describes, lifted back to the
+  /// unprojected space (n parameters), so callers can re-check
+  /// safety_gap(A, B) > 0. Set only when the deciding stage produced one.
+  std::optional<ProductDistribution> witness_product;
 };
 
 /// One stage of the decision cascade. Implementations must be safe to call

@@ -268,10 +268,10 @@ DecisionEngine::CascadeResult DecisionEngine::run_cascade(
     result.certified = d.certified;
     result.detail = std::move(d.detail);
     if (d.witness_product) {
-      const ProductDistribution witness =
+      result.witness_product =
           projection ? lift_witness(*projection, *d.witness_product, a.n())
-                     : *d.witness_product;
-      result.detail = describe_product_witness(witness);
+                     : std::move(*d.witness_product);
+      result.detail = describe_product_witness(*result.witness_product);
     }
   }
   if (!decided) {

@@ -15,7 +15,7 @@
 #include "engine/criterion_stage.h"
 #include "engine/incremental.h"
 #include "engine/thread_pool.h"
-#include "optimize/emptiness.h"
+#include "optimize/coordinate_ascent.h"
 #include "util/status.h"
 
 namespace epi {

@@ -64,7 +64,8 @@ class UnrestrictedStage : public CriterionStage {
       // The two-point witness of unrestricted_witness(), named by its
       // support worlds instead of built as a dense 2^n Distribution. The
       // bytes match its support().to_string() (worlds in increasing order),
-      // which the backend-parity model check pins.
+      // which the probabilistic-unrestricted and backend-parity model checks
+      // pin.
       d.verdict = Verdict::kUnsafe;
       World w1 = (a & b).min_world();
       World w2 = (~(a | b)).min_world();

@@ -86,19 +86,4 @@ AscentResult maximize_product_gap(const WorldSet& a, const WorldSet& b,
   return best;
 }
 
-NumericDecision decide_product_safety_numeric(const WorldSet& a, const WorldSet& b,
-                                              const AscentOptions& options,
-                                              double unsafe_threshold) {
-  const AscentResult r = maximize_product_gap(a, b, options);
-  NumericDecision d;
-  d.max_gap = r.max_gap;
-  if (r.max_gap > unsafe_threshold) {
-    d.verdict = Verdict::kUnsafe;
-    d.witness_params = r.argmax;
-  } else {
-    d.verdict = Verdict::kSafe;
-  }
-  return d;
-}
-
 }  // namespace epi

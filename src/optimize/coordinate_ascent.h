@@ -10,7 +10,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "criteria/verdict.h"
 #include "probabilistic/product.h"
 #include "worlds/world_set.h"
 
@@ -33,18 +32,5 @@ struct AscentResult {
 /// Maximizes gap(p) over [0,1]^n.
 AscentResult maximize_product_gap(const WorldSet& a, const WorldSet& b,
                                   const AscentOptions& options = {});
-
-/// Numeric decision: unsafe (with witness) when the found maximum exceeds
-/// `unsafe_threshold`; safe otherwise. Never returns unknown — callers who
-/// need a proof combine this with the SOS certificate layer.
-struct NumericDecision {
-  Verdict verdict = Verdict::kUnknown;
-  double max_gap = 0.0;
-  std::vector<double> witness_params;  ///< populated when unsafe
-};
-
-NumericDecision decide_product_safety_numeric(const WorldSet& a, const WorldSet& b,
-                                              const AscentOptions& options = {},
-                                              double unsafe_threshold = 1e-9);
 
 }  // namespace epi

@@ -5,9 +5,6 @@
 #include <stdexcept>
 
 #include "algebra/safety_polynomial.h"
-#include "criteria/pipeline.h"
-#include "criteria/projection.h"
-#include "optimize/positivstellensatz.h"
 #include "util/rng.h"
 
 namespace epi {
@@ -149,64 +146,6 @@ EmptinessSearchResult search_violating_distribution(const AlgebraicFamily& famil
     }
   }
   return result;
-}
-
-FullDecision decide_product_safety_complete(const WorldSet& a, const WorldSet& b,
-                                            const AscentOptions& ascent,
-                                            bool enable_sos, unsigned sos_degree,
-                                            const SdpOptions& sdp) {
-  // Stage 0: drop non-critical coordinates (Section 6's "relevant worlds"
-  // argument) — product-family safety is invariant under marginalizing them,
-  // and every later stage gets exponentially cheaper.
-  const ProjectedPair projected = project_to_critical(a, b);
-  if (projected.kept_coordinates.size() < a.n()) {
-    FullDecision d = decide_product_safety_complete(projected.a, projected.b,
-                                                    ascent, enable_sos,
-                                                    sos_degree, sdp);
-    d.method = "projected[" + std::to_string(projected.kept_coordinates.size()) +
-               "/" + std::to_string(a.n()) + "]+" + d.method;
-    if (d.witness) {
-      // Lift the witness: projected parameters on kept coordinates, 1/2 on
-      // the irrelevant ones (any value preserves the gap).
-      std::vector<double> params(a.n(), 0.5);
-      for (std::size_t i = 0; i < projected.kept_coordinates.size(); ++i) {
-        params[projected.kept_coordinates[i]] = d.witness->param(static_cast<unsigned>(i));
-      }
-      d.witness = ProductDistribution(params);
-    }
-    return d;
-  }
-
-  FullDecision d;
-  const PipelineResult pipeline =
-      run_criteria(product_criteria(), a, b, "exhausted-combinatorial-criteria");
-  if (pipeline.verdict != Verdict::kUnknown) {
-    d.verdict = pipeline.verdict;
-    d.method = pipeline.criterion;
-    d.certified = true;
-    d.witness = pipeline.witness_product;
-    return d;
-  }
-  const AscentResult numeric = maximize_product_gap(a, b, ascent);
-  d.numeric_gap = numeric.max_gap;
-  if (numeric.max_gap > 1e-9) {
-    d.verdict = Verdict::kUnsafe;
-    d.method = "coordinate-ascent";
-    d.certified = true;  // the witness itself is the proof
-    d.witness = ProductDistribution(numeric.argmax);
-    return d;
-  }
-  if (enable_sos &&
-      sos_product_safety(a, b, sos_degree, sdp) == Verdict::kSafe) {
-    d.verdict = Verdict::kSafe;
-    d.method = "sos-certificate";
-    d.certified = true;
-    return d;
-  }
-  d.verdict = Verdict::kSafe;
-  d.method = "numeric-only";
-  d.certified = false;
-  return d;
 }
 
 }  // namespace epi

@@ -1,21 +1,19 @@
 // The set K(A,B,Pi) of Section 6 / Proposition 6.1: distributions in an
 // algebraic family Pi with P[AB] > P[A]P[B]. Safety testing is emptiness
 // testing of K(A,B,Pi). This module provides
-//  * algebraic descriptions of the paper's families over world weights,
+//  * algebraic descriptions of the paper's families over world weights, and
 //  * a projected-gradient search for a violating distribution (non-emptiness
-//    witness, i.e. an "unsafe" certificate), and
-//  * a complete staged decision procedure for product families combining the
-//    combinatorial criteria, coordinate ascent and SOS certificates.
+//    witness, i.e. an "unsafe" certificate).
+// The staged product-family decision (combinatorial criteria, coordinate
+// ascent, SOS certificate) is the DecisionEngine's kProduct cascade.
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "algebra/polynomial.h"
-#include "criteria/verdict.h"
-#include "optimize/coordinate_ascent.h"
-#include "optimize/sdp.h"
 #include "probabilistic/distribution.h"
 #include "worlds/world_set.h"
 
@@ -66,26 +64,6 @@ EmptinessSearchResult search_violating_distribution(const AlgebraicFamily& famil
                                                     const WorldSet& a,
                                                     const WorldSet& b,
                                                     const EmptinessOptions& options = {});
-
-/// Complete product-family decision with provenance.
-struct FullDecision {
-  Verdict verdict = Verdict::kUnknown;
-  std::string method;     ///< deciding stage
-  bool certified = false; ///< true when backed by a proof (criterion, witness
-                          ///< or SOS certificate) rather than numerics alone
-  double numeric_gap = 0.0;
-  std::optional<ProductDistribution> witness;
-};
-
-/// Stages: combinatorial pipeline -> coordinate ascent (unsafe witness) ->
-/// SOS certificate (proved safe) -> numeric-only safe. `sos_degree` 0 picks
-/// the margin degree; pass `enable_sos=false` to skip the certificate stage
-/// (e.g. for large n where the SDP would be slow).
-FullDecision decide_product_safety_complete(const WorldSet& a, const WorldSet& b,
-                                            const AscentOptions& ascent = {},
-                                            bool enable_sos = true,
-                                            unsigned sos_degree = 0,
-                                            const SdpOptions& sdp = {});
 
 /// Euclidean projection onto the probability simplex (exposed for tests).
 std::vector<double> project_to_simplex(std::vector<double> v);

@@ -1,6 +1,5 @@
 #include "possibilistic/sigma_family.h"
 
-#include <algorithm>
 #include <stdexcept>
 
 namespace epi {
@@ -13,10 +12,11 @@ ExplicitSigma::ExplicitSigma(std::vector<FiniteSet> sets) : sets_(std::move(sets
       throw std::invalid_argument("ExplicitSigma: mismatched universes");
     }
   }
+  members_.insert(sets_.begin(), sets_.end());
 }
 
 bool ExplicitSigma::contains(const FiniteSet& s) const {
-  return std::find(sets_.begin(), sets_.end(), s) != sets_.end();
+  return members_.contains(s);
 }
 
 bool ExplicitSigma::is_intersection_closed() const {
@@ -46,9 +46,7 @@ std::optional<FiniteSet> ExplicitSigma::interval(std::size_t w1, std::size_t w2)
 
 ExplicitSigma ExplicitSigma::intersection_closure() const {
   std::vector<FiniteSet> closed = sets_;
-  auto member = [&closed](const FiniteSet& s) {
-    return std::find(closed.begin(), closed.end(), s) != closed.end();
-  };
+  std::unordered_set<FiniteSet, FiniteSetHash> seen = members_;
   bool changed = true;
   while (changed) {
     changed = false;
@@ -57,7 +55,7 @@ ExplicitSigma ExplicitSigma::intersection_closure() const {
       for (std::size_t j = i + 1; j < count; ++j) {
         if (closed[i].disjoint_with(closed[j])) continue;
         FiniteSet inter = closed[i] & closed[j];
-        if (!member(inter)) {
+        if (seen.insert(inter).second) {
           closed.push_back(std::move(inter));
           changed = true;
         }

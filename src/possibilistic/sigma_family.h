@@ -5,6 +5,7 @@
 #include <cstddef>
 #include <memory>
 #include <optional>
+#include <unordered_set>
 #include <vector>
 
 #include "worlds/finite_set.h"
@@ -50,7 +51,8 @@ class SigmaFamily {
   }
 };
 
-/// A family given by an explicit list of sets.
+/// A family given by an explicit list of sets. Membership is a hash lookup;
+/// enumerate() returns the sets in the order given.
 class ExplicitSigma : public SigmaFamily {
  public:
   explicit ExplicitSigma(std::vector<FiniteSet> sets);
@@ -67,6 +69,7 @@ class ExplicitSigma : public SigmaFamily {
  private:
   std::size_t m_;
   std::vector<FiniteSet> sets_;
+  std::unordered_set<FiniteSet, FiniteSetHash> members_;  ///< index of sets_
 };
 
 /// The power set P(Omega) — the unconstrained prior-knowledge family of

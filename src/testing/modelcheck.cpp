@@ -10,6 +10,7 @@
 #include "criteria/pipeline.h"
 #include "criteria/unconditional.h"
 #include "db/parser.h"
+#include "engine/decision_engine.h"
 #include "possibilistic/intervals.h"
 #include "possibilistic/laminar.h"
 #include "possibilistic/rectangles.h"
@@ -151,24 +152,17 @@ void check_probabilistic_unrestricted(Rng& rng, const ModelCheckOptions& opt,
                   pair_text(a, b));
   }
 
-  // The unrestricted cascade is exact: always definite, matching, and its
-  // Unsafe witness priors must have a strictly positive gap.
-  const PipelineResult r =
-      run_criteria(unrestricted_criteria(), a, b, "exhausted");
-  if (r.verdict == Verdict::kUnknown ||
-      (r.verdict == Verdict::kSafe) != oracle.safe) {
-    out.push_back("unrestricted_criteria verdict " + verdict_name(r.verdict) +
+  // The engine's unrestricted cascade is exact: always definite and
+  // matching, and an Unsafe detail names the support of
+  // unrestricted_witness, whose gap is checked right below.
+  AuditContext ctx;
+  const EngineDecision d =
+      DecisionEngine(n, PriorAssumption::kUnrestricted).decide(a, b, ctx);
+  if (d.verdict == Verdict::kUnknown ||
+      (d.verdict == Verdict::kSafe) != oracle.safe) {
+    out.push_back("engine (unrestricted) verdict " + verdict_name(d.verdict) +
                   " vs oracle " + (oracle.safe ? "safe" : "unsafe") + "; " +
                   pair_text(a, b));
-  }
-  if (r.verdict == Verdict::kUnsafe) {
-    if (!r.witness_distribution) {
-      out.push_back("unrestricted Unsafe verdict without a witness prior; " +
-                    pair_text(a, b));
-    } else if (oracle_double_gap(*r.witness_distribution, a, b) <= 0.0) {
-      out.push_back("unrestricted Unsafe witness prior has non-positive "
-                    "gap; " + pair_text(a, b));
-    }
   }
   const std::optional<Distribution> w = unrestricted_witness(a, b);
   if (w.has_value() == oracle.safe) {
@@ -177,6 +171,12 @@ void check_probabilistic_unrestricted(Rng& rng, const ModelCheckOptions& opt,
   } else if (w && oracle_double_gap(*w, a, b) <= 0.0) {
     out.push_back("unrestricted_witness gap is not positive; " +
                   pair_text(a, b));
+  }
+  if (d.verdict == Verdict::kUnsafe && w &&
+      d.detail != "two-point prior on " + w->support().to_string()) {
+    out.push_back("engine (unrestricted) Unsafe detail \"" + d.detail +
+                  "\" does not name unrestricted_witness's support " +
+                  w->support().to_string() + "; " + pair_text(a, b));
   }
 
   // Theorem 3.11 equates the possibilistic and probabilistic unrestricted
@@ -341,6 +341,66 @@ std::vector<ExactDistribution> sample_products(Rng& rng, unsigned n,
   return pi;
 }
 
+// --- Checks 4/5/6 shared: every definite entry of a criterion table --------
+
+/// One table entry that decided (A, B).
+struct DefiniteEntry {
+  const NamedCriterion* entry;
+  CriterionOutcome outcome;
+};
+
+/// Every entry of `table` that applies at A's dimension (the engine's
+/// max_n gate) and decides (A, B), in table order. The checks judge each of
+/// them, not only the first one the engine's cascade stops at.
+std::vector<DefiniteEntry> definite_entries(
+    const std::vector<NamedCriterion>& table, const WorldSet& a,
+    const WorldSet& b) {
+  std::vector<DefiniteEntry> decided;
+  for (const NamedCriterion& entry : table) {
+    if (entry.max_n != 0 && a.n() > entry.max_n) continue;
+    CriterionOutcome o = entry.test(a, b);
+    if (o.verdict != Verdict::kUnknown) decided.push_back({&entry, std::move(o)});
+  }
+  return decided;
+}
+
+bool any_safe(const std::vector<DefiniteEntry>& decided) {
+  return std::any_of(decided.begin(), decided.end(), [](const DefiniteEntry& d) {
+    return d.outcome.verdict == Verdict::kSafe;
+  });
+}
+
+/// A verified product witness: parameters in [0, 1] and a positive gap.
+bool verified_product_witness(const ProductDistribution& p, const WorldSet& a,
+                              const WorldSet& b) {
+  for (const double q : p.params()) {
+    if (q < 0.0 || q > 1.0) return false;
+  }
+  return p.safety_gap(a, b) > 0.0;
+}
+
+/// Reports a table entry's Safe verdict that the sampled priors refute,
+/// shrunk against "this entry still says Safe and the samples drawn from
+/// `sample_seed` at the candidate's dimension still refute it".
+template <typename Sample>
+void report_refuted_safe(const char* family, const NamedCriterion& entry,
+                         std::size_t bad, std::uint64_t sample_seed,
+                         Sample&& sample, const WorldSet& a, const WorldSet& b,
+                         Failures& out) {
+  auto still = [&](const WorldSet& x, const WorldSet& y) {
+    if (entry.test(x, y).verdict != Verdict::kSafe) return false;
+    Rng r2(sample_seed);
+    return refute_safe(sample(r2, x.n()), x, y).has_value();
+  };
+  auto [ca, cb] = shrink_coordinates(a, b, still);
+  auto [sa, sb] = shrink_pair(ca, cb, still);
+  std::ostringstream os;
+  os << family << " criterion (" << entry.name << ") claims Safe but sampled "
+     << "prior #" << bad << " gains confidence; " << pair_text(a, b)
+     << "; shrunk: " << pair_text(sa, sb);
+  out.push_back(os.str());
+}
+
 // --- Check 4: product-cascade (Pi_m0) ---------------------------------------
 
 void check_product_cascade(Rng& rng, const ModelCheckOptions& opt,
@@ -349,58 +409,47 @@ void check_product_cascade(Rng& rng, const ModelCheckOptions& opt,
   WorldSet a = random_world_set(rng, n);
   WorldSet b = random_world_set(rng, n);
   const std::uint64_t sample_seed = rng.next_u64();
+  auto sample = [&](Rng& srng, unsigned dim) {
+    return sample_products(srng, dim, opt.prior_samples);
+  };
 
-  const PipelineResult r = run_criteria(product_criteria(), a, b, "exhausted");
-  if (r.verdict == Verdict::kSafe) {
+  const std::vector<DefiniteEntry> decided =
+      definite_entries(product_criteria(), a, b);
+  // One draw of samples refutes every Safe entry alike.
+  std::optional<std::size_t> refuted;
+  if (any_safe(decided)) {
     Rng srng(sample_seed);
-    const auto pi = sample_products(srng, n, opt.prior_samples);
-    if (const auto bad = refute_safe(pi, a, b)) {
-      // Shrink against "cascade Safe but some sampled product violates",
-      // regenerating the samples at each candidate size from the same seed.
-      auto still = [&](const WorldSet& x, const WorldSet& y) {
-        if (run_criteria(product_criteria(), x, y, "exhausted").verdict !=
-            Verdict::kSafe) {
-          return false;
-        }
-        Rng r2(sample_seed);
-        return refute_safe(sample_products(r2, x.n(), opt.prior_samples), x, y)
-            .has_value();
-      };
-      auto [ca, cb] = shrink_coordinates(a, b, still);
-      auto [sa, sb] = shrink_pair(ca, cb, still);
-      std::ostringstream os;
-      os << "product cascade (" << r.criterion << ") claims Safe but exact "
-            "product prior #" << *bad << " gains confidence; " << pair_text(a, b)
-         << "; shrunk: " << pair_text(sa, sb);
-      out.push_back(os.str());
+    refuted = refute_safe(sample(srng, n), a, b);
+  }
+  for (const DefiniteEntry& d : decided) {
+    const std::string name = d.entry->name;
+    if (d.outcome.verdict == Verdict::kSafe) {
+      if (refuted) {
+        report_refuted_safe("product", *d.entry, *refuted, sample_seed, sample,
+                            a, b, out);
+      }
+      continue;
     }
-  } else if (r.verdict == Verdict::kUnsafe) {
     // Necessary side: the verdict must come with a witness that really lies
     // in Pi_m0 and really has a positive gap.
-    if (r.witness_product) {
-      for (const double p : r.witness_product->params()) {
-        if (p < 0.0 || p > 1.0) {
-          out.push_back("product witness parameter outside [0,1]; " +
-                        pair_text(a, b));
-          break;
-        }
-      }
-      if (r.witness_product->safety_gap(a, b) <= 0.0) {
-        out.push_back("product cascade (" + r.criterion +
-                      ") Unsafe witness has non-positive gap; " +
+    if (d.outcome.witness_product) {
+      if (!verified_product_witness(*d.outcome.witness_product, a, b)) {
+        out.push_back("product criterion (" + name + ") Unsafe witness has a "
+                      "parameter outside [0,1] or a non-positive gap; " +
                       pair_text(a, b));
       }
-    } else if (r.witness_distribution) {
-      if (!is_product(*r.witness_distribution)) {
-        out.push_back("product cascade Unsafe witness is not a product "
-                      "prior; " + pair_text(a, b));
-      } else if (oracle_double_gap(*r.witness_distribution, a, b) <= 0.0) {
-        out.push_back("product cascade Unsafe witness has non-positive "
-                      "gap; " + pair_text(a, b));
+    } else if (d.outcome.witness_distribution) {
+      if (!is_product(*d.outcome.witness_distribution)) {
+        out.push_back("product criterion (" + name + ") Unsafe witness is "
+                      "not a product prior; " + pair_text(a, b));
+      } else if (oracle_double_gap(*d.outcome.witness_distribution, a, b) <=
+                 0.0) {
+        out.push_back("product criterion (" + name + ") Unsafe witness has "
+                      "non-positive gap; " + pair_text(a, b));
       }
     } else {
-      out.push_back("product cascade (" + r.criterion +
-                    ") Unsafe without a witness; " + pair_text(a, b));
+      out.push_back("product criterion (" + name + ") Unsafe without a "
+                    "witness; " + pair_text(a, b));
     }
   }
 }
@@ -436,59 +485,51 @@ void check_supermodular_cascade(Rng& rng, const ModelCheckOptions& opt,
     }
   }
 
-  const PipelineResult sup =
-      run_criteria(supermodular_criteria(), a, b, "exhausted");
-  const PipelineResult prod =
-      run_criteria(product_criteria(), a, b, "exhausted");
-
-  if (sup.verdict == Verdict::kSafe) {
+  const std::vector<DefiniteEntry> decided =
+      definite_entries(supermodular_criteria(), a, b);
+  std::optional<std::size_t> refuted;
+  if (any_safe(decided)) {
     Rng srng(sample_seed);
-    if (const auto bad = refute_safe(sample_family(srng, n), a, b)) {
-      auto still = [&](const WorldSet& x, const WorldSet& y) {
-        if (run_criteria(supermodular_criteria(), x, y, "exhausted").verdict !=
-            Verdict::kSafe) {
-          return false;
-        }
-        Rng r2(sample_seed);
-        return refute_safe(sample_family(r2, x.n()), x, y).has_value();
-      };
-      auto [ca, cb] = shrink_coordinates(a, b, still);
-      auto [sa, sb] = shrink_pair(ca, cb, still);
-      std::ostringstream os;
-      os << "supermodular cascade (" << sup.criterion << ") claims Safe but "
-            "sampled Pi_m+ prior #" << *bad << " gains confidence; "
-         << pair_text(a, b) << "; shrunk: " << pair_text(sa, sb);
-      out.push_back(os.str());
-    }
-    // Pi_m0 subseteq Pi_m+: Safe over the superset family implies Safe over
-    // products, so a *verified* product-side Unsafe witness is a
-    // contradiction.
-    if (prod.verdict == Verdict::kUnsafe && prod.witness_product &&
-        prod.witness_product->safety_gap(a, b) > 0.0) {
-      out.push_back("supermodular cascade Safe but the product cascade holds "
-                    "a verified violating product prior (Pi_m0 subseteq "
-                    "Pi_m+ broken); " + pair_text(a, b));
-    }
-  } else if (sup.verdict == Verdict::kUnsafe) {
-    if (sup.witness_distribution) {
-      if (oracle_double_gap(*sup.witness_distribution, a, b) <= 0.0) {
-        out.push_back("supermodular cascade (" + sup.criterion +
-                      ") Unsafe witness has non-positive gap; " +
-                      pair_text(a, b));
-      } else if (!is_log_supermodular(*sup.witness_distribution, 1e-9)) {
-        out.push_back("supermodular cascade Unsafe witness lies outside "
-                      "Pi_m+; " + pair_text(a, b));
+    refuted = refute_safe(sample_family(srng, n), a, b);
+  }
+  for (const DefiniteEntry& d : decided) {
+    const std::string name = d.entry->name;
+    if (d.outcome.verdict == Verdict::kSafe) {
+      if (refuted) {
+        report_refuted_safe("supermodular", *d.entry, *refuted, sample_seed,
+                            sample_family, a, b, out);
       }
-    } else if (sup.witness_product) {
+    } else if (d.outcome.witness_distribution) {
+      if (oracle_double_gap(*d.outcome.witness_distribution, a, b) <= 0.0) {
+        out.push_back("supermodular criterion (" + name + ") Unsafe witness "
+                      "has non-positive gap; " + pair_text(a, b));
+      } else if (!is_log_supermodular(*d.outcome.witness_distribution, 1e-9)) {
+        out.push_back("supermodular criterion (" + name + ") Unsafe witness "
+                      "lies outside Pi_m+; " + pair_text(a, b));
+      }
+    } else if (d.outcome.witness_product) {
       // Product priors are log-supermodular by Equation (18).
-      if (sup.witness_product->safety_gap(a, b) <= 0.0) {
-        out.push_back("supermodular cascade (" + sup.criterion +
-                      ") Unsafe product witness has non-positive gap; " +
-                      pair_text(a, b));
+      if (d.outcome.witness_product->safety_gap(a, b) <= 0.0) {
+        out.push_back("supermodular criterion (" + name + ") Unsafe product "
+                      "witness has non-positive gap; " + pair_text(a, b));
       }
     } else {
-      out.push_back("supermodular cascade (" + sup.criterion +
-                    ") Unsafe without a witness; " + pair_text(a, b));
+      out.push_back("supermodular criterion (" + name + ") Unsafe without a "
+                    "witness; " + pair_text(a, b));
+    }
+  }
+
+  // Pi_m0 subseteq Pi_m+: Safe over the superset family implies Safe over
+  // products, so a *verified* product-side Unsafe witness is a contradiction.
+  if (any_safe(decided)) {
+    for (const DefiniteEntry& d : definite_entries(product_criteria(), a, b)) {
+      if (d.outcome.verdict == Verdict::kUnsafe && d.outcome.witness_product &&
+          d.outcome.witness_product->safety_gap(a, b) > 0.0) {
+        out.push_back("supermodular criteria say Safe but the product "
+                      "criterion (" + std::string(d.entry->name) + ") holds a "
+                      "verified violating product prior (Pi_m0 subseteq "
+                      "Pi_m+ broken); " + pair_text(a, b));
+      }
     }
   }
 }
@@ -499,6 +540,18 @@ RecordUniverse make_universe(unsigned n) {
   RecordUniverse u;
   for (unsigned i = 0; i < n; ++i) u.add("r" + std::to_string(i));
   return u;
+}
+
+/// `s` over one more record, coordinate 0, that it does not depend on; its
+/// own records shift up by one, so a lift that misplaces kept coordinates
+/// shows.
+WorldSet with_idle_record(const WorldSet& s) {
+  WorldSet out(s.n() + 1);
+  s.visit([&](World w) {
+    out.insert(w << 1);
+    out.insert((w << 1) | 1);
+  });
+  return out;
 }
 
 void check_engine_parity(Rng& rng, const ModelCheckOptions& opt,
@@ -535,17 +588,41 @@ void check_engine_parity(Rng& rng, const ModelCheckOptions& opt,
     case PriorAssumption::kProduct:
     case PriorAssumption::kLogSupermodular: {
       // The engine (with projection, SOS, optimizer) and the raw criterion
-      // table are independent paths; certified verdicts must never cross.
+      // table are independent paths; a certified verdict must never cross
+      // any definite table entry.
       const auto& table = prior == PriorAssumption::kProduct
                               ? product_criteria()
                               : supermodular_criteria();
-      const PipelineResult r = run_criteria(table, a, b, "exhausted");
-      if (r.verdict != Verdict::kUnknown && d1.certified &&
-          d1.verdict != Verdict::kUnknown && d1.verdict != r.verdict) {
-        out.push_back("engine (" + to_string(prior) + ", " + d1.method +
-                      ") says " + verdict_name(d1.verdict) +
-                      " but the criterion table (" + r.criterion + ") says " +
-                      verdict_name(r.verdict) + "; " + pair_text(a, b));
+      for (const DefiniteEntry& d : definite_entries(table, a, b)) {
+        if (d1.certified && d1.verdict != Verdict::kUnknown &&
+            d1.verdict != d.outcome.verdict) {
+          out.push_back("engine (" + to_string(prior) + ", " + d1.method +
+                        ") says " + verdict_name(d1.verdict) +
+                        " but the criterion table (" + d.entry->name +
+                        ") says " + verdict_name(d.outcome.verdict) + "; " +
+                        pair_text(a, b));
+        }
+      }
+      // An Unsafe product decision carries its witness, lifted back to all
+      // records: it must re-check on the unprojected pair. Random pairs
+      // rarely leave a record idle, so the pair is also decided with one
+      // extra record neither set depends on, which the engine always
+      // projects away and must lift back.
+      if (prior == PriorAssumption::kProduct &&
+          d1.verdict == Verdict::kUnsafe) {
+        for (const auto& [x, y] : {std::pair{a, b}, std::pair{with_idle_record(a),
+                                                          with_idle_record(b)}}) {
+          AuditContext ctx;
+          const EngineDecision e =
+              DecisionEngine(x.n(), prior).decide(x, y, ctx);
+          if (!e.witness_product || e.witness_product->n() != x.n() ||
+              !verified_product_witness(*e.witness_product, x, y)) {
+            out.push_back("engine (product, " + e.method + ") Unsafe witness "
+                          "is missing, not over all " + std::to_string(x.n()) +
+                          " records, outside [0,1] or not gaining (" +
+                          e.detail + "); " + pair_text(x, y));
+          }
+        }
       }
       // Any certified Safe must survive sampled exact members of the family.
       if (d1.certified && d1.verdict == Verdict::kSafe) {

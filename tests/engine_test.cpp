@@ -1,7 +1,7 @@
-// Tests for the DecisionEngine subsystem: stage-cascade parity with the
-// pre-engine decision paths, batch-audit determinism across thread counts,
-// per-audit caching and the single-flight pair memo, custom stage
-// registration and the thread pool itself.
+// Tests for the DecisionEngine subsystem: stage-cascade parity with a golden
+// frozen from the pre-engine decision paths, batch-audit determinism across
+// thread counts, per-audit caching and the single-flight pair memo, custom
+// stage registration and the thread pool itself.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -9,12 +9,12 @@
 #include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <functional>
 #include <future>
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <sstream>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -23,87 +23,16 @@
 #include "core/auditor.h"
 #include "core/report.h"
 #include "core/workload.h"
-#include "criteria/pipeline.h"
 #include "db/parser.h"
 #include "engine/decision_engine.h"
 #include "engine/stages.h"
 #include "engine/thread_pool.h"
-#include "optimize/emptiness.h"
 #include "possibilistic/subcubes.h"
 #include "util/rng.h"
 #include "worlds/finite_set.h"
 
 namespace epi {
 namespace {
-
-std::string describe_product_witness(const ProductDistribution& p) {
-  std::ostringstream os;
-  os << "product prior with p = (";
-  for (unsigned i = 0; i < p.n(); ++i) {
-    os << (i ? ", " : "") << p.param(i);
-  }
-  os << ")";
-  return os.str();
-}
-
-/// The Auditor::audit_sets switch exactly as it stood before the
-/// DecisionEngine refactor — the reference the engine must reproduce
-/// verdict-for-verdict, method-for-method.
-AuditFinding legacy_audit_sets(PriorAssumption prior, const WorldSet& a,
-                               const WorldSet& b, const AuditorOptions& options,
-                               const IntervalOracle& oracle) {
-  AuditFinding f;
-  switch (prior) {
-    case PriorAssumption::kUnrestricted: {
-      const PipelineResult r =
-          run_criteria(unrestricted_criteria(), a, b, "unreachable");
-      f.verdict = r.verdict;
-      f.method = r.criterion;
-      f.certified = true;
-      if (r.witness_distribution) {
-        f.detail =
-            "two-point prior on " + r.witness_distribution->support().to_string();
-      }
-      break;
-    }
-    case PriorAssumption::kProduct: {
-      const bool sos = options.enable_sos && a.n() <= options.max_sos_records;
-      const FullDecision d =
-          decide_product_safety_complete(a, b, options.ascent, sos);
-      f.verdict = d.verdict;
-      f.method = d.method;
-      f.certified = d.certified;
-      f.numeric_gap = d.numeric_gap;
-      if (d.witness) f.detail = describe_product_witness(*d.witness);
-      break;
-    }
-    case PriorAssumption::kSubcubeKnowledge: {
-      const bool safe = oracle.safe_minimal_intervals(to_finite(a), to_finite(b));
-      f.verdict = safe ? Verdict::kSafe : Verdict::kUnsafe;
-      f.method = "subcube-intervals";
-      f.certified = true;
-      if (!safe) {
-        f.detail = "a user knowing some records' exact contents learns A";
-      }
-      break;
-    }
-    case PriorAssumption::kLogSupermodular: {
-      const PipelineResult r = run_criteria(supermodular_criteria(), a, b,
-                                            "exhausted-supermodular-criteria");
-      f.verdict = r.verdict;
-      f.method = r.criterion;
-      f.certified = r.verdict != Verdict::kUnknown;
-      if (r.witness_distribution) {
-        f.detail = "log-supermodular prior on " +
-                   r.witness_distribution->support().to_string();
-      } else if (r.witness_product) {
-        f.detail = describe_product_witness(*r.witness_product);
-      }
-      break;
-    }
-  }
-  return f;
-}
 
 std::vector<std::pair<WorldSet, WorldSet>> parity_pairs(unsigned n) {
   Rng rng(0x5EED5);
@@ -121,36 +50,90 @@ std::vector<std::pair<WorldSet, WorldSet>> parity_pairs(unsigned n) {
   return pairs;
 }
 
+/// One line of tests/golden/engine/legacy_decisions_n3.tsv: what the
+/// pre-engine decision paths answered for one (prior, A, B).
+struct LegacyDecision {
+  std::string prior, a, b, verdict, method;
+  bool certified = false;
+  double numeric_gap = 0.0;
+  std::string detail;
+};
+
+std::vector<LegacyDecision> read_legacy_golden() {
+  std::ifstream in(EPI_GOLDEN_DIR "/engine/legacy_decisions_n3.tsv");
+  std::vector<LegacyDecision> rows;
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.empty() || line[0] == '#') continue;
+    std::vector<std::string> f;
+    std::size_t start = 0;
+    for (std::size_t tab; (tab = line.find('\t', start)) != std::string::npos;
+         start = tab + 1) {
+      f.push_back(line.substr(start, tab - start));
+    }
+    f.push_back(line.substr(start));
+    if (f.size() == 7) f.emplace_back();  // Safe rows have no detail
+    if (f.size() != 8) {
+      ADD_FAILURE() << "malformed golden line: " << line;
+      continue;
+    }
+    rows.push_back({f[0], f[1], f[2], f[3], f[4], f[5] == "1",
+                    std::strtod(f[6].c_str(), nullptr), f[7]});
+  }
+  return rows;
+}
+
+// The engine against a golden frozen from the decision paths it replaced
+// (unrestricted, product and log-supermodular priors), field by field; the
+// subcube prior against the live Section 4.1 interval scan.
 TEST(DecisionEngine, MatchesLegacyDecisionPaths) {
   const unsigned n = 3;
   AuditorOptions options;
   options.ascent.multistarts = 8;
   options.ascent.max_cycles = 60;
+  const std::vector<std::pair<WorldSet, WorldSet>> pairs = parity_pairs(n);
 
-  auto family = std::make_shared<SubcubeSigma>(n);
-  auto oracle = std::make_shared<IntervalOracle>(
-      family, FiniteSet::universe(family->universe_size()));
-
+  const std::vector<LegacyDecision> golden = read_legacy_golden();
+  ASSERT_EQ(golden.size(), 3 * pairs.size())
+      << "golden/engine/legacy_decisions_n3.tsv is missing or incomplete";
+  std::size_t row = 0;
   for (PriorAssumption prior :
        {PriorAssumption::kUnrestricted, PriorAssumption::kProduct,
-        PriorAssumption::kLogSupermodular, PriorAssumption::kSubcubeKnowledge}) {
+        PriorAssumption::kLogSupermodular}) {
     const DecisionEngine engine(n, prior, options);
-    for (const auto& [a, b] : parity_pairs(n)) {
+    for (const auto& [a, b] : pairs) {
+      const LegacyDecision& want = golden[row++];
+      ASSERT_EQ(want.prior, to_string(prior));
+      ASSERT_EQ(want.a, a.to_string());
+      ASSERT_EQ(want.b, b.to_string());
       AuditContext ctx;
-      if (prior == PriorAssumption::kSubcubeKnowledge) {
-        ctx.set_interval_oracle(oracle);
-      }
       const EngineDecision got = engine.decide(a, b, ctx);
-      const AuditFinding want =
-          legacy_audit_sets(prior, a, b, options, *oracle);
-      const std::string label = to_string(prior) + " A=" + a.to_string() +
-                                " B=" + b.to_string();
-      EXPECT_EQ(got.verdict, want.verdict) << label;
+      const std::string label = want.prior + " A=" + want.a + " B=" + want.b;
+      EXPECT_EQ(to_string(got.verdict), want.verdict) << label;
       EXPECT_EQ(got.method, want.method) << label;
       EXPECT_EQ(got.certified, want.certified) << label;
       EXPECT_EQ(got.detail, want.detail) << label;
       EXPECT_NEAR(got.numeric_gap, want.numeric_gap, 1e-12) << label;
     }
+  }
+
+  auto family = std::make_shared<SubcubeSigma>(n);
+  auto oracle = std::make_shared<IntervalOracle>(
+      family, FiniteSet::universe(family->universe_size()));
+  const DecisionEngine engine(n, PriorAssumption::kSubcubeKnowledge, options);
+  for (const auto& [a, b] : pairs) {
+    AuditContext ctx;
+    ctx.set_interval_oracle(oracle);
+    const EngineDecision got = engine.decide(a, b, ctx);
+    const bool safe = oracle->safe_minimal_intervals(to_finite(a), to_finite(b));
+    const std::string label = "A=" + a.to_string() + " B=" + b.to_string();
+    EXPECT_EQ(got.verdict, safe ? Verdict::kSafe : Verdict::kUnsafe) << label;
+    EXPECT_EQ(got.method, "subcube-intervals") << label;
+    EXPECT_TRUE(got.certified) << label;
+    EXPECT_EQ(got.detail,
+              safe ? "" : "a user knowing some records' exact contents learns A")
+        << label;
+    EXPECT_EQ(got.numeric_gap, 0.0) << label;
   }
 }
 

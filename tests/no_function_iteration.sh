@@ -21,23 +21,26 @@ if [ -n "$bad" ]; then
   exit 1
 fi
 
-# The legacy decide_*_safety cascade wrappers were removed with the batch
-# API redesign; run_criteria (or the DecisionEngine) is the only cascade
-# entry point. The trailing '(' keeps the live, differently-suffixed
-# decide_product_safety_complete / decide_product_safety_numeric out of the
-# match.
+# The DecisionEngine is the only code that walks a criterion cascade. The
+# legacy decide_*_safety wrappers went with the batch API redesign; the
+# table runner run_criteria and the product-prior runners
+# decide_product_safety_complete / decide_product_safety_numeric went when
+# every caller moved to the engine. None of them may come back.
 bad=$(grep -rn \
   -e 'decide_unrestricted_safety(' \
   -e 'decide_product_safety(' \
   -e 'decide_supermodular_safety(' \
+  -e 'run_criteria(' \
+  -e 'decide_product_safety_complete(' \
+  -e 'decide_product_safety_numeric(' \
   "$root/src" "$root/bench" "$root/examples" "$root/tests" \
   --include='*.cpp' --include='*.h' \
   || true)
 
 if [ -n "$bad" ]; then
-  echo "FAIL: removed decide_*_safety wrapper referenced:" >&2
+  echo "FAIL: removed cascade runner referenced:" >&2
   echo "$bad" >&2
-  echo "use run_criteria(<family>_criteria(), ...) or the DecisionEngine" >&2
+  echo "use the DecisionEngine" >&2
   exit 1
 fi
 

@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <optional>
 
 #include "criteria/pipeline.h"
+#include "engine/decision_engine.h"
 #include "optimize/coordinate_ascent.h"
 #include "optimize/emptiness.h"
 #include "probabilistic/modularity.h"
@@ -57,37 +59,45 @@ TEST(CoordinateAscent, ZeroGapForIndependentPair) {
   EXPECT_NEAR(r.max_gap, 0.0, 1e-9);
 }
 
-TEST(CoordinateAscent, NumericDecisionSound) {
+// The optimizer as the engine's coordinate-ascent stage reads it: a maximum
+// above 1e-9 is an Unsafe verdict with the argmax as its witness, anything
+// else a numeric Safe.
+constexpr double kUnsafeGap = 1e-9;
+
+TEST(CoordinateAscent, ThresholdedMaximumSound) {
   Rng rng(67);
   const unsigned n = 3;
   for (int trial = 0; trial < 40; ++trial) {
     WorldSet a = WorldSet::random(n, rng, 0.5);
     WorldSet b = WorldSet::random(n, rng, 0.5);
-    const NumericDecision d = decide_product_safety_numeric(a, b);
+    const AscentResult r = maximize_product_gap(a, b);
     const double grid = max_gap_grid(a, b);
-    if (d.verdict == Verdict::kSafe) {
+    if (r.max_gap <= kUnsafeGap) {
       EXPECT_LE(grid, 1e-6);
     } else {
-      ASSERT_FALSE(d.witness_params.empty());
-      EXPECT_GT(ProductDistribution(d.witness_params).safety_gap(a, b), 0.0);
+      ASSERT_FALSE(r.argmax.empty());
+      EXPECT_GT(ProductDistribution(r.argmax).safety_gap(a, b), 0.0);
     }
   }
 }
 
 TEST(CoordinateAscent, AgreesWithCombinatorialPipeline) {
-  // Where the criteria pipeline is definite, the optimizer must agree.
+  // Wherever a criterion-table entry is definite, the optimizer must agree.
   Rng rng(71);
   const unsigned n = 4;
   for (int trial = 0; trial < 60; ++trial) {
     WorldSet a = WorldSet::random(n, rng, 0.4);
     WorldSet b = WorldSet::random(n, rng, 0.4);
-    const PipelineResult pipeline = run_criteria(
-        product_criteria(), a, b, "exhausted-combinatorial-criteria");
-    if (pipeline.verdict == Verdict::kUnknown) continue;
-    const NumericDecision numeric = decide_product_safety_numeric(a, b);
-    EXPECT_EQ(numeric.verdict, pipeline.verdict)
-        << "criterion=" << pipeline.criterion << " gap=" << numeric.max_gap
-        << " A=" << a.to_string() << " B=" << b.to_string();
+    std::optional<double> gap;  // one optimizer run per decided pair
+    for (const NamedCriterion& entry : product_criteria()) {
+      const Verdict verdict = entry.test(a, b).verdict;
+      if (verdict == Verdict::kUnknown) continue;
+      if (!gap) gap = maximize_product_gap(a, b).max_gap;
+      const Verdict numeric = *gap > kUnsafeGap ? Verdict::kUnsafe : Verdict::kSafe;
+      EXPECT_EQ(numeric, verdict)
+          << "criterion=" << entry.name << " gap=" << *gap
+          << " A=" << a.to_string() << " B=" << b.to_string();
+    }
   }
 }
 
@@ -155,23 +165,26 @@ TEST(Emptiness, SupermodularWitnessesAreSupermodularAndViolating) {
   EXPECT_GT(found, 0);
 }
 
-TEST(FullDecision, SoundAgainstGrid) {
+TEST(ProductEngine, SoundAgainstGrid) {
   Rng rng(83);
   const unsigned n = 3;
+  // Skip the SOS stage here to keep the test fast; certificates are
+  // exercised separately in sos_test.cpp.
+  AuditorOptions options;
+  options.enable_sos = false;
+  const DecisionEngine engine(n, PriorAssumption::kProduct, options);
   int certified = 0;
   for (int trial = 0; trial < 25; ++trial) {
     WorldSet a = WorldSet::random(n, rng, 0.5);
     WorldSet b = WorldSet::random(n, rng, 0.5);
-    // Skip the SOS stage here to keep the test fast; certificates are
-    // exercised separately in sos_test.cpp.
-    const FullDecision d =
-        decide_product_safety_complete(a, b, AscentOptions{}, /*enable_sos=*/false);
+    AuditContext ctx;
+    const EngineDecision d = engine.decide(a, b, ctx);
     const double grid = max_gap_grid(a, b);
     if (d.verdict == Verdict::kSafe) {
       EXPECT_LE(grid, 1e-6) << "method=" << d.method;
     } else {
-      ASSERT_TRUE(d.witness.has_value());
-      EXPECT_GT(d.witness->safety_gap(a, b), 0.0);
+      ASSERT_TRUE(d.witness_product.has_value());
+      EXPECT_GT(d.witness_product->safety_gap(a, b), 0.0);
     }
     certified += d.certified;
   }

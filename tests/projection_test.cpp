@@ -1,10 +1,11 @@
 // Tests for the relevant-coordinate projection (Section 6's N-vs-2^n
-// argument) and its integration into the full decision procedure.
+// argument) and its integration into the product-prior DecisionEngine,
+// including the engine's witness lift.
 #include <gtest/gtest.h>
 
 #include "criteria/projection.h"
+#include "engine/decision_engine.h"
 #include "optimize/coordinate_ascent.h"
-#include "optimize/emptiness.h"
 #include "probabilistic/product.h"
 
 namespace epi {
@@ -97,23 +98,32 @@ TEST(Projection, GapInvariantUnderProjection) {
   }
 }
 
-TEST(Projection, FullDecisionUsesProjectionAndLiftsWitness) {
+/// The product-prior DecisionEngine with the SOS stage off: these tests
+/// check projection and witness lifting, not certificates.
+DecisionEngine product_engine(unsigned n) {
+  AuditorOptions options;
+  options.enable_sos = false;
+  return DecisionEngine(n, PriorAssumption::kProduct, options);
+}
+
+TEST(Projection, EngineUsesProjectionAndLiftsWitness) {
   // A = B = "coordinate 2 present" inside a 6-coordinate space: the decision
   // should project to 1 coordinate and still return a valid lifted witness.
   const unsigned n = 6;
   WorldSet a = cylinder(n, 2, true);
-  const FullDecision d =
-      decide_product_safety_complete(a, a, AscentOptions{}, /*enable_sos=*/false);
+  AuditContext ctx;
+  const EngineDecision d = product_engine(n).decide(a, a, ctx);
   EXPECT_EQ(d.verdict, Verdict::kUnsafe);
   EXPECT_NE(d.method.find("projected[1/6]"), std::string::npos) << d.method;
-  ASSERT_TRUE(d.witness.has_value());
-  EXPECT_EQ(d.witness->n(), n);
-  EXPECT_GT(d.witness->safety_gap(a, a), 0.0);
+  ASSERT_TRUE(d.witness_product.has_value());
+  EXPECT_EQ(d.witness_product->n(), n);
+  EXPECT_GT(d.witness_product->safety_gap(a, a), 0.0);
 }
 
-TEST(Projection, FullDecisionAgreesWithUnprojectedOnRandomPairs) {
+TEST(Projection, EngineAgreesWithUnprojectedOnRandomPairs) {
   Rng rng(11);
   const unsigned n = 5;
+  const DecisionEngine engine = product_engine(n);
   for (int t = 0; t < 25; ++t) {
     // Sets over a random subset of coordinates.
     const World a_patterns = static_cast<World>(rng.next_bits(4));
@@ -124,8 +134,8 @@ TEST(Projection, FullDecisionAgreesWithUnprojectedOnRandomPairs) {
       if ((a_patterns >> code) & 1) a.insert(w);
       if ((b_patterns >> code) & 1) b.insert(w);
     }
-    const FullDecision with_projection =
-        decide_product_safety_complete(a, b, AscentOptions{}, false);
+    AuditContext ctx;
+    const EngineDecision with_projection = engine.decide(a, b, ctx);
     // Ground truth on the full space via the optimizer alone.
     AscentOptions opts;
     opts.seed = 2200 + t;
@@ -133,8 +143,8 @@ TEST(Projection, FullDecisionAgreesWithUnprojectedOnRandomPairs) {
     if (with_projection.verdict == Verdict::kSafe) {
       EXPECT_LE(gap, 1e-9);
     } else {
-      ASSERT_TRUE(with_projection.witness.has_value());
-      EXPECT_GT(with_projection.witness->safety_gap(a, b), 0.0);
+      ASSERT_TRUE(with_projection.witness_product.has_value());
+      EXPECT_GT(with_projection.witness_product->safety_gap(a, b), 0.0);
     }
   }
 }

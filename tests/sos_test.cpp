@@ -1,8 +1,7 @@
 #include <gtest/gtest.h>
 
-#include "criteria/pipeline.h"
+#include "engine/decision_engine.h"
 #include "linalg/eigen.h"
-#include "optimize/emptiness.h"
 #include "optimize/positivstellensatz.h"
 #include "optimize/sos.h"
 #include "util/rng.h"
@@ -148,17 +147,15 @@ TEST(SosProductSafety, UnsafePairIsNotCertified) {
   EXPECT_EQ(sos_product_safety(a, a, 0, opts), Verdict::kUnknown);
 }
 
-TEST(FullDecision, SosStageCertifiesRemark512) {
+TEST(ProductEngine, SosStageCertifiesRemark512) {
   // The Remark 5.12 pair defeats every combinatorial criterion yet is safe;
-  // with the SOS stage enabled the full decision certifies it.
+  // the product-prior engine's SOS stage certifies it at its default budget.
   const unsigned n = 3;
   WorldSet a = WorldSet::from_strings(n, {"011", "100", "110", "111"});
   WorldSet b = WorldSet::from_strings(n, {"010", "101", "110", "111"});
-  SdpOptions sdp;
-  sdp.max_iterations = 8000;
-  // sos_degree 0 = auto: the margin has degree 4 and certifies at degree 4.
-  const FullDecision d = decide_product_safety_complete(
-      a, b, AscentOptions{}, /*enable_sos=*/true, /*sos_degree=*/0, sdp);
+  AuditContext ctx;
+  const EngineDecision d =
+      DecisionEngine(n, PriorAssumption::kProduct).decide(a, b, ctx);
   EXPECT_EQ(d.verdict, Verdict::kSafe);
   EXPECT_EQ(d.method, "sos-certificate");
   EXPECT_TRUE(d.certified);
