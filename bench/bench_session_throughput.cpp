@@ -5,9 +5,10 @@
 // Safe(A, Sk) after every disclosure. This bench replays the same shrinking
 // sessions through both cumulative-verdict strategies:
 //
-//   recompute    — DecisionEngine::decide() per step, the stateless path the
-//                  service used before per-session state existed (every step
-//                  hashes S for the pair memo and reruns the cascade);
+//   recompute    — what the service runs with incremental_sessions = false:
+//                  per step, a service::VerdictCache lookup of (A, S) and,
+//                  on a miss, DecisionEngine::decide() and an insert (every
+//                  step hashes S; only a repeated S skips the cascade);
 //   incremental  — DecisionEngine::decide_incremental() with one persistent
 //                  IncrementalContext per session, so a step costs O(change):
 //                  pinned monotone verdicts and unchanged-S repeats are O(1),
@@ -36,6 +37,7 @@
 #include <cstdio>
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -45,6 +47,8 @@
 #include "db/record.h"
 #include "engine/decision_engine.h"
 #include "engine/incremental.h"
+#include "obs/metrics.h"
+#include "service/verdict_cache.h"
 #include "util/rng.h"
 #include "workloads/family.h"
 #include "worlds/world_set.h"
@@ -238,18 +242,31 @@ AxisTiming run_recompute(const Scenario& sc,
   const DecisionEngine& engine = sc.auditor->engine();
   AxisTiming t;
   for (unsigned r = 0; r < rounds; ++r) {
-    // Fresh context per round: the pair memo must not carry answers from a
-    // previous replay of the very same sessions.
     AuditContext ctx;
     setup_context(ctx, sc);
+    // Fresh cache per round: it must not carry answers from a previous
+    // replay of the very same sessions.
+    obs::MetricsRegistry metrics;
+    service::VerdictCache cache(service::VerdictCache::Options{}, metrics);
+    // AuditService::decide's cache-then-cascade path.
+    auto decide = [&](const WorldSet& s) {
+      const service::VerdictKey key =
+          service::VerdictCache::key_for(sc.a, s, engine.prior());
+      if (std::optional<EngineDecision> hit = cache.lookup(key, sc.a, s)) {
+        return *hit;
+      }
+      EngineDecision decision = engine.decide(sc.a, s, ctx);
+      cache.insert(key, sc.a, s, decision);
+      return decision;
+    };
     double round_total = 0, round_rest = 0;
     std::size_t round_steps = 0, round_rest_steps = 0;
     for (const SessionTrace& sess : sessions) {
       const auto t0 = Clock::now();
-      EngineDecision d = engine.decide(sc.a, sess.s[0], ctx);
+      EngineDecision d = decide(sess.s[0]);
       const auto t1 = Clock::now();
       for (std::size_t k = 1; k < sess.s.size(); ++k) {
-        d = engine.decide(sc.a, sess.s[k], ctx);
+        d = decide(sess.s[k]);
       }
       const auto t2 = Clock::now();
       (void)d;

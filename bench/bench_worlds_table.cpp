@@ -101,12 +101,11 @@ int main() {
   std::printf("verdict comparison for the implication query:\n");
   std::printf("  perfect secrecy (Miklau-Suciu, shares critical record r1): %s\n",
               miklau_suciu_independent(a, b) ? "allows" : "REJECTS");
-  AuditContext unrestricted_ctx, product_ctx;  // the pair memo is per prior
+  AuditContext ctx;
   const EngineDecision unrestricted =
-      DecisionEngine(2, PriorAssumption::kUnrestricted)
-          .decide(a, b, unrestricted_ctx);
+      DecisionEngine(2, PriorAssumption::kUnrestricted).decide(a, b, ctx);
   const EngineDecision product =
-      DecisionEngine(2, PriorAssumption::kProduct).decide(a, b, product_ctx);
+      DecisionEngine(2, PriorAssumption::kProduct).decide(a, b, ctx);
   std::printf("  epistemic privacy, unrestricted priors (Thm 3.11):         %s\n",
               unrestricted.verdict == Verdict::kSafe ? "allows" : "rejects");
   std::printf("  epistemic privacy, product priors (pipeline):              %s (%s)\n",

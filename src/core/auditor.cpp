@@ -1,5 +1,6 @@
 #include "core/auditor.h"
 
+#include <deque>
 #include <stdexcept>
 #include <string_view>
 #include <unordered_map>
@@ -18,6 +19,16 @@ namespace {
 std::string disclosure_key(const Disclosure& d) {
   return d.query_text + (d.answer ? "\x1f+" : "\x1f-");
 }
+
+/// Keys a map by the set a pointer points to, so the dedupe copies no set.
+struct PointeeHash {
+  std::size_t operator()(const WorldSet* s) const { return s->hash(); }
+};
+struct PointeeEqual {
+  bool operator()(const WorldSet* x, const WorldSet* y) const {
+    return *x == *y;
+  }
+};
 
 AuditFinding to_finding(const EngineDecision& d) {
   AuditFinding f;
@@ -158,21 +169,23 @@ AuditFinding Auditor::audit_sets(const WorldSet& a, const WorldSet& b) const {
 // The A-independent half of an audit. Everything here depends only on the
 // log and the universe, so a batch computes it exactly once and every
 // audited property reuses it: the compiled disclosed sets (the expensive
-// per-world query evaluations), the per-entry pointers and deduplicated
-// decision list, and the Section 3.3 per-user conjunctions.
+// per-world query evaluations), the Section 3.3 per-user conjunctions, and
+// which of them are the same set. Under one prior Safe(A, B) depends on the
+// sets alone (Def. 3.1/3.4), so an audit decides each distinct set once.
 struct Auditor::BatchShared {
-  /// Owns one compiled WorldSet per distinct (query text, answer) pair.
-  /// unordered_map node stability keeps every pointer below valid.
-  std::unordered_map<std::string, WorldSet> sets;
-  std::vector<std::string> entry_keys;           ///< disclosure_key per entry
-  std::vector<const WorldSet*> disclosure_sets;  ///< per entry, into `sets`
-  std::vector<const WorldSet*> unique_bs;        ///< deduplicated, log order
-  std::vector<std::size_t> entry_slot;           ///< entry -> unique_bs index
+  /// Each distinct set an audit decides, once: the disclosure sets in log
+  /// order, then the conjunctions equal to none of them. Points into `owned`.
+  std::vector<const WorldSet*> distinct;
+  std::size_t disclosure_slots = 0;  ///< the disclosure sets' count
+  std::vector<std::size_t> entry_slot;  ///< log entry -> distinct index
   std::vector<std::string> users;
-  std::vector<WorldSet> conjunctions;            ///< per user, Section 3.3
-  std::vector<std::size_t> answered_counts;
-  std::vector<const WorldSet*> unique_conjunctions;
-  std::vector<std::size_t> user_slot;
+  std::vector<std::size_t> answered_counts;  ///< per user
+  std::vector<std::size_t> user_slot;        ///< user -> distinct index
+  std::size_t distinct_keys = 0;  ///< distinct (query text, answer) pairs
+  std::size_t distinct_conjunctions = 0;
+  /// Owns the distinct sets; a deque, so the pointers in `distinct` stay
+  /// valid as it grows.
+  std::deque<WorldSet> owned;
 };
 
 Auditor::BatchShared Auditor::build_shared(const AuditLog& log) const {
@@ -180,70 +193,63 @@ Auditor::BatchShared Auditor::build_shared(const AuditLog& log) const {
   const SetBackend backend = resolved_backend();
   const std::vector<Disclosure>& entries = log.entries();
 
+  // The slot of `set` in `distinct`, appending it when no equal set is
+  // there yet.
+  std::unordered_map<const WorldSet*, std::size_t, PointeeHash, PointeeEqual>
+      slot_of_set;
+  auto slot_for = [&](WorldSet set) {
+    const WorldSet* kept = &shared.owned.emplace_back(std::move(set));
+    const auto [it, fresh] =
+        slot_of_set.try_emplace(kept, shared.distinct.size());
+    if (fresh) {
+      shared.distinct.push_back(kept);
+    } else {
+      shared.owned.pop_back();
+    }
+    return it->second;
+  };
+
   // Compile each disclosure's set once, keyed by (query text, answer) — the
   // same query answered the same way discloses the same set, whoever asked.
-  shared.entry_keys.reserve(entries.size());
-  shared.disclosure_sets.reserve(entries.size());
+  // Two keys may still compile to one set (`!x` answered yes, `x` answered
+  // no); they share its slot.
+  shared.entry_slot.reserve(entries.size());
   {
     obs::ScopedSpan compile_span("audit.compile-disclosures");
+    std::unordered_map<std::string, std::size_t> slot_of_key;
     for (const Disclosure& d : entries) {
-      std::string key = disclosure_key(d);
-      auto it = shared.sets.find(key);
-      if (it == shared.sets.end()) {
-        it = shared.sets.emplace(key, d.disclosed_set(universe_, backend)).first;
-      }
-      shared.disclosure_sets.push_back(&it->second);
-      shared.entry_keys.push_back(std::move(key));
+      auto [it, fresh] = slot_of_key.try_emplace(disclosure_key(d));
+      if (fresh) it->second = slot_for(d.disclosed_set(universe_, backend));
+      shared.entry_slot.push_back(it->second);
     }
+    shared.distinct_keys = slot_of_key.size();
   }
-
-  // Deduplicate for the decision sweep: each distinct (query text, answer)
-  // key is decided once per audited property, in log order. Keys that
-  // compile to one set meet again in the pair memo.
-  shared.entry_slot.resize(entries.size());
-  {
-    std::unordered_map<std::string_view, std::size_t> slot_of;
-    for (std::size_t i = 0; i < entries.size(); ++i) {
-      auto [it, inserted] =
-          slot_of.emplace(shared.entry_keys[i], shared.unique_bs.size());
-      if (inserted) shared.unique_bs.push_back(shared.disclosure_sets[i]);
-      shared.entry_slot[i] = it->second;
-    }
-  }
+  shared.disclosure_slots = shared.distinct.size();
 
   // Section 3.3 — a user who received answers B1, ..., Bk knows
   // B1 ∩ ... ∩ Bk. Conjunctions are cheap bitset ANDs over the compiled
-  // sets, and like them are independent of the audited property.
+  // sets, and like them are independent of the audited property. A
+  // one-query user's conjunction is their disclosure's set, so it takes
+  // that set's slot.
   shared.users = log.users();
-  shared.conjunctions.reserve(shared.users.size());
   shared.answered_counts.reserve(shared.users.size());
+  shared.user_slot.reserve(shared.users.size());
+  std::unordered_set<std::size_t> conjunction_slots;
   for (const std::string& user : shared.users) {
     WorldSet conjunction =
         WorldSet::universe(static_cast<unsigned>(universe_.size()), backend);
     std::size_t answered = 0;
     for (std::size_t i = 0; i < entries.size(); ++i) {
       if (entries[i].user != user) continue;
-      conjunction &= *shared.disclosure_sets[i];
+      conjunction &= *shared.distinct[shared.entry_slot[i]];
       ++answered;
     }
-    shared.conjunctions.push_back(std::move(conjunction));
+    const std::size_t slot = slot_for(std::move(conjunction));
+    conjunction_slots.insert(slot);
+    shared.user_slot.push_back(slot);
     shared.answered_counts.push_back(answered);
   }
-
-  shared.user_slot.resize(shared.users.size());
-  for (std::size_t u = 0; u < shared.users.size(); ++u) {
-    std::size_t slot = shared.unique_conjunctions.size();
-    for (std::size_t v = 0; v < shared.unique_conjunctions.size(); ++v) {
-      if (*shared.unique_conjunctions[v] == shared.conjunctions[u]) {
-        slot = v;
-        break;
-      }
-    }
-    if (slot == shared.unique_conjunctions.size()) {
-      shared.unique_conjunctions.push_back(&shared.conjunctions[u]);
-    }
-    shared.user_slot[u] = slot;
-  }
+  shared.distinct_conjunctions = conjunction_slots.size();
   return shared;
 }
 
@@ -275,35 +281,43 @@ AuditReport Auditor::audit_one(const AuditLog& log,
     ctx.prepare_subcube(a);
   }
 
-  // Per-report compile accounting: the sets were compiled once for the
-  // whole batch, but each report's counters state what *its* audit
-  // required — first use of a key is a miss, repeats are hits — exactly
-  // like a standalone audit's context. The batch amortization shows up in
-  // wall time, not in doctored counters.
-  {
-    obs::Counter& misses = ctx.metrics().counter("engine.compile.misses");
-    obs::Counter& hits = ctx.metrics().counter("engine.compile.hits");
-    std::unordered_set<std::string_view> seen;
-    seen.reserve(shared.sets.size());
-    for (const std::string& key : shared.entry_keys) {
-      (seen.insert(key).second ? misses : hits).add(1);
-    }
-  }
+  // Per-report accounting: the batch compiled and deduplicated the sets
+  // once, but each report's counters state what *its* audit required.
+  // Compiles: the first use of a (query text, answer) key is a miss,
+  // repeats are hits. Memo: one lookup per distinct key and per distinct
+  // conjunction; a lookup whose set an earlier lookup already brought is a
+  // hit, so hits = lookups - distinct sets. The batch amortization shows up
+  // in wall time, not in doctored counters.
+  const std::vector<Disclosure>& entries = log.entries();
+  const std::size_t lookups = shared.distinct_keys + shared.distinct_conjunctions;
+  obs::MetricsRegistry& metrics = ctx.metrics();
+  metrics.counter("engine.compile.misses").add(shared.distinct_keys);
+  metrics.counter("engine.compile.hits").add(entries.size() - shared.distinct_keys);
+  metrics.counter("engine.memo.lookups").add(lookups);
+  metrics.counter("engine.memo.hits").add(lookups - shared.distinct.size());
 
-  // Decide each distinct disclosure key, fanning out across the pool. Two
-  // keys may compile to one set (`!x` answered yes, `x` answered no); the
-  // context's single-flight memo decides it once and counts the other as a
-  // hit, so every counter is identical for every thread count.
+  // Decide each distinct set once, fanning out across the pool. Workers
+  // share nothing but the context's atomic counters, so every counter is
+  // identical for every thread count.
+  const std::span<const WorldSet* const> distinct(shared.distinct);
   std::vector<EngineDecision> decisions;
+  decisions.reserve(distinct.size());
   {
     obs::ScopedSpan decide_span("audit.decide-disclosures");
     if (decide_span.live()) {
-      decide_span.attr("unique_pairs", std::to_string(shared.unique_bs.size()));
+      decide_span.attr("unique_pairs", std::to_string(shared.disclosure_slots));
     }
-    decide_pairs(a, shared.unique_bs, ctx, decisions);
+    decide_pairs(a, distinct.first(shared.disclosure_slots), ctx, decisions);
+  }
+  {
+    obs::ScopedSpan decide_span("audit.decide-conjunctions");
+    if (decide_span.live()) {
+      decide_span.attr("unique_pairs",
+                       std::to_string(distinct.size() - shared.disclosure_slots));
+    }
+    decide_pairs(a, distinct.subspan(shared.disclosure_slots), ctx, decisions);
   }
 
-  const std::vector<Disclosure>& entries = log.entries();
   for (std::size_t i = 0; i < entries.size(); ++i) {
     AuditFinding f = to_finding(decisions[shared.entry_slot[i]]);
     f.user = entries[i].user;
@@ -312,20 +326,8 @@ AuditReport Auditor::audit_one(const AuditLog& log,
     report.per_disclosure.push_back(std::move(f));
   }
 
-  // Distinct conjunctions are decided in parallel; identical ones (and ones
-  // matching a disclosure pair) come from the per-report memo.
-  std::vector<EngineDecision> conjunction_decisions;
-  {
-    obs::ScopedSpan decide_span("audit.decide-conjunctions");
-    if (decide_span.live()) {
-      decide_span.attr("unique_pairs",
-                       std::to_string(shared.unique_conjunctions.size()));
-    }
-    decide_pairs(a, shared.unique_conjunctions, ctx, conjunction_decisions);
-  }
-
   for (std::size_t u = 0; u < shared.users.size(); ++u) {
-    AuditFinding f = to_finding(conjunction_decisions[shared.user_slot[u]]);
+    AuditFinding f = to_finding(decisions[shared.user_slot[u]]);
     f.user = shared.users[u];
     f.query_text = "<conjunction of " +
                    std::to_string(shared.answered_counts[u]) +

@@ -7,9 +7,11 @@
 //
 // Decisions run through the staged DecisionEngine (src/engine/): an ordered
 // cascade of CriterionStage objects per prior assumption, with a per-audit
-// AuditContext caching compiled disclosure sets, memoizing (A, B)-pair
-// verdicts and amortizing the subcube interval machinery. Batch audits fan
-// disclosures out across a thread pool with deterministic, log-order output.
+// AuditContext amortizing the subcube interval machinery and collecting the
+// audit's counters. A batch compiles each distinct disclosure once and
+// decides each distinct set once per audited property (a one-query user's
+// conjunction is their disclosure's set), fanning the decisions out across a
+// thread pool with deterministic, log-order output.
 #pragma once
 
 #include <memory>
@@ -49,16 +51,18 @@ struct AuditReport {
   std::vector<AuditFinding> per_user_cumulative;
 
   /// Snapshot of the audit's metrics registry (every `engine.*` counter the
-  /// AuditContext recorded). stage_stats() and memo_hits() are views over
-  /// this — there are no separately maintained statistics.
+  /// audit recorded in its AuditContext). stage_stats() and memo_hits() are
+  /// views over this — there are no separately maintained statistics.
   obs::MetricsSnapshot metrics;
 
   /// Per-stage decision counters and wall time, in engine cascade order —
   /// derived from the `engine.stage.<idx>.<name>.*` counters in `metrics`.
   std::vector<StageStats> stage_stats() const;
-  /// (A, B)-pair verdicts served from the per-audit memo (e.g. a one-query
-  /// user's conjunction equals their single disclosure) — the
-  /// `engine.memo.hits` counter in `metrics`.
+  /// Verdict lookups answered by a set the audit decides anyway (e.g. a
+  /// one-query user's conjunction equals their single disclosure, or `x`
+  /// answered no and `!x` answered yes) — the `engine.memo.hits` counter in
+  /// `metrics`: lookups (one per distinct disclosure key and per distinct
+  /// conjunction) minus distinct sets decided.
   std::size_t memo_hits() const;
 
   /// Which findings count() aggregates over.
@@ -126,9 +130,9 @@ class Auditor {
 
  private:
   /// The A-independent half of an audit, computed once per batch: each
-  /// distinct disclosed set compiled once, per-entry pointers into them, the
-  /// deduplicated decision list, and the per-user conjunctions. Defined in
-  /// the .cpp.
+  /// distinct disclosure key compiled once, the per-user conjunctions, and
+  /// one list of the distinct sets among them with an entry -> set and a
+  /// user -> set map. Defined in the .cpp.
   struct BatchShared;
 
   RecordUniverse universe_;

@@ -12,8 +12,9 @@ namespace epi {
 std::string format_report(const AuditReport& report);
 
 /// Renders the decision-path instrumentation: one row per engine stage with
-/// invocation / decision counts and cumulative wall time, plus the pair-memo
-/// hit count — all views over the report's metrics snapshot. Counts are
+/// invocation / decision counts and cumulative wall time, plus the memo hit
+/// count (AuditReport::memo_hits: verdict lookups served by a set the audit
+/// decided once) — all views over the report's metrics snapshot. Counts are
 /// deterministic; wall times are wall times.
 std::string format_stage_stats(const AuditReport& report);
 

@@ -20,53 +20,6 @@ std::string stage_metric_name(std::size_t index, const std::string& stage,
 
 }  // namespace
 
-AuditContext::AuditContext()
-    : memo_hits_c_(&metrics_.counter("engine.memo.hits")),
-      memo_lookups_(&metrics_.counter("engine.memo.lookups")) {}
-
-EngineDecision AuditContext::memoized(
-    const WorldSet& a, const WorldSet& b,
-    const std::function<EngineDecision()>& decide) {
-  using State = MemoEntry::State;
-  memo_lookups_->add(1);
-  MemoEntry* entry = nullptr;
-  {
-    std::unique_lock<std::mutex> lock(memo_mutex_);
-    auto [it, claimed] = memo_.try_emplace(PairKey{a, b});
-    entry = &it->second;
-    if (!claimed) {
-      memo_cv_.wait(lock, [entry] { return entry->state != State::kDeciding; });
-      if (entry->state == State::kDecided) {
-        memo_hits_c_->add(1);
-        return entry->decision;
-      }
-      entry->state = State::kDeciding;  // take over an abandoned claim
-    }
-  }
-  // Decide outside the lock: other pairs proceed, this pair's waiters sleep.
-  try {
-    EngineDecision decision = decide();
-    {
-      std::lock_guard<std::mutex> lock(memo_mutex_);
-      entry->decision = decision;
-      entry->state = State::kDecided;
-    }
-    memo_cv_.notify_all();
-    return decision;
-  } catch (...) {
-    {
-      std::lock_guard<std::mutex> lock(memo_mutex_);
-      entry->state = State::kAbandoned;
-    }
-    memo_cv_.notify_all();
-    throw;
-  }
-}
-
-std::size_t AuditContext::memo_hits() const {
-  return static_cast<std::size_t>(memo_hits_c_->value());
-}
-
 void AuditContext::set_interval_oracle(std::shared_ptr<IntervalOracle> oracle) {
   oracle_ = std::move(oracle);
 }

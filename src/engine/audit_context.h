@@ -1,21 +1,17 @@
-// Per-audit shared state: single-flight (A, B)-pair verdict memoization, the
-// prepared subcube interval oracle, and the per-audit metrics registry every
-// decision statistic is recorded into. One AuditContext lives for the
-// duration of one Auditor::audit() call and is shared — thread-safely — by
-// every worker deciding pairs for it.
+// Per-audit shared state: the prepared subcube interval oracle and the
+// per-audit metrics registry every decision statistic is recorded into. One
+// AuditContext lives for the duration of one Auditor::audit() call and is
+// shared by every worker deciding pairs for it; a decision only adds to its
+// atomic counters. It memoizes no verdicts: an audit decides each distinct
+// set once (Auditor::BatchShared), and the service keeps its VerdictCache.
 #pragma once
 
-#include <condition_variable>
 #include <cstdint>
-#include <functional>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
-#include "engine/criterion_stage.h"
 #include "obs/metrics.h"
 #include "possibilistic/intervals.h"
 #include "worlds/world_set.h"
@@ -35,35 +31,17 @@ struct StageStats {
 
 class AuditContext {
  public:
-  AuditContext();
+  AuditContext() = default;
 
   AuditContext(const AuditContext&) = delete;
   AuditContext& operator=(const AuditContext&) = delete;
 
   // --- Per-audit metrics ---------------------------------------------------
   /// Every counter below lives here; AuditReport::metrics is a snapshot of
-  /// this registry, and stage_stats() / memo_hits() are views over it.
+  /// this registry, and AuditReport::stage_stats() / memo_hits() are views
+  /// over it.
   obs::MetricsRegistry& metrics() { return metrics_; }
   obs::MetricsSnapshot metrics_snapshot() const { return metrics_.snapshot(); }
-
-  // --- Pair-verdict memoization -------------------------------------------
-  /// Single-flight memo: the decision for (a, b), looked up and claimed in
-  /// one step. The first caller of a pair claims it, runs `decide` and
-  /// memoizes the result. Every later caller, on any thread, gets that
-  /// decision and counts as a memo hit; while the claimant is still
-  /// deciding, they wait for it. So each pair runs `decide` once per context,
-  /// and the `engine.memo.*` and stage counters depend only on which pairs
-  /// were decided, never on thread timing. If `decide` throws, the exception
-  /// reaches the claimant and the claim is dropped: waiters wake and one of
-  /// them claims the pair afresh, as a serial caller after the failure
-  /// would. `decide` must not decide the same pair on this context (it would
-  /// wait for itself).
-  EngineDecision memoized(const WorldSet& a, const WorldSet& b,
-                          const std::function<EngineDecision()>& decide);
-  /// Number of memo hits (cross-section reuse, e.g. a one-query user's
-  /// conjunction equals their single disclosure) — the `engine.memo.hits`
-  /// counter.
-  std::size_t memo_hits() const;
 
   // --- Subcube interval machinery (kSubcubeKnowledge) ---------------------
   void set_interval_oracle(std::shared_ptr<IntervalOracle> oracle);
@@ -91,20 +69,6 @@ class AuditContext {
   std::vector<StageStats> stage_stats() const;
 
  private:
-  struct PairKey {
-    WorldSet a;
-    WorldSet b;
-    bool operator==(const PairKey& o) const { return a == o.a && b == o.b; }
-  };
-  struct PairKeyHash {
-    std::size_t operator()(const PairKey& k) const {
-      // Avalanche-combine the two set hashes via the shared kernel so pairs
-      // differing only in B still spread over the whole table.
-      return static_cast<std::size_t>(
-          bits::hash_combine(k.a.hash(), k.b.hash()));
-    }
-  };
-
   /// Registry counters backing one stage's statistics; resolved once in
   /// reset_stages so record_stage stays a couple of relaxed atomic adds.
   struct StageSlot {
@@ -114,21 +78,6 @@ class AuditContext {
   };
 
   obs::MetricsRegistry metrics_;
-  obs::Counter* memo_hits_c_;   // engine.memo.hits
-  obs::Counter* memo_lookups_;  // engine.memo.lookups
-
-  /// One pair's memo slot; `state` and `decision` are guarded by memo_mutex_.
-  /// Slots are never erased and unordered_map nodes never move, so a
-  /// waiter's pointer stays valid.
-  struct MemoEntry {
-    enum class State { kDeciding, kDecided, kAbandoned };
-    State state = State::kDeciding;  // the inserting caller holds the claim
-    EngineDecision decision;
-  };
-
-  std::mutex memo_mutex_;
-  std::condition_variable memo_cv_;  // signalled when any entry leaves kDeciding
-  std::unordered_map<PairKey, MemoEntry, PairKeyHash> memo_;
 
   std::shared_ptr<IntervalOracle> oracle_;
   std::optional<WorldSet> prepared_a_;

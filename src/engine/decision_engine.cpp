@@ -131,18 +131,10 @@ void DecisionEngine::register_stage(std::unique_ptr<CriterionStage> stage,
 EngineDecision DecisionEngine::decide(const WorldSet& a, const WorldSet& b,
                                       AuditContext& ctx) const {
   obs::ScopedSpan span("engine.decide");
-  bool ran = false;
-  EngineDecision decision = ctx.memoized(a, b, [&] {
-    ran = true;
-    return run_cascade(a, b, ctx, /*inc=*/nullptr).decision;
-  });
+  EngineDecision decision = run_cascade(a, b, ctx, /*inc=*/nullptr).decision;
   if (span.live()) {
-    if (ran) {
-      span.attr("verdict", to_string(decision.verdict));
-      span.attr("method", decision.method);
-    } else {
-      span.attr("memo", "hit");
-    }
+    span.attr("verdict", to_string(decision.verdict));
+    span.attr("method", decision.method);
   }
   return decision;
 }
@@ -194,8 +186,7 @@ DecisionEngine::CascadeResult DecisionEngine::run_cascade(
   // subcube covers; every other prior's stages walk worlds or per-world
   // weights, so the pair is densified first — exact, and within reach
   // whenever n <= kMaxCoordinates (past that, WorldSet::densified throws:
-  // those priors genuinely need the dense machinery). The memo below still
-  // keys the original sets.
+  // those priors genuinely need the dense machinery).
   std::optional<std::pair<WorldSet, WorldSet>> densified;
   if (prior_ != PriorAssumption::kUnrestricted &&
       (a.symbolic() || b.symbolic())) {

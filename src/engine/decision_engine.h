@@ -2,8 +2,9 @@
 // prior assumption, replacing the hard-coded switch the Auditor used to
 // carry. The engine owns the stage list, handles the product-prior
 // projection onto critical coordinates (Section 6's "relevant worlds"
-// argument, including witness lifting), memoizes (A, B)-pair verdicts in the
-// AuditContext, and accumulates per-stage statistics.
+// argument, including witness lifting) and accumulates per-stage statistics
+// in the AuditContext. It memoizes nothing: callers decide each distinct pair
+// once (the Auditor's batch dedupe, the service's VerdictCache).
 #pragma once
 
 #include <memory>
@@ -88,11 +89,10 @@ class DecisionEngine {
   void register_stage(std::unique_ptr<CriterionStage> stage,
                       std::size_t position);
 
-  /// Decides one (A, B) pair through the context's single-flight memo
-  /// (AuditContext::memoized): a pair already decided or being decided on
-  /// `ctx` is a memo hit; otherwise product-prior projection, then the stage
-  /// cascade. Per-stage counters land in `ctx` when its slots were
-  /// configured with stage_names().
+  /// Decides one (A, B) pair: product-prior projection, then the stage
+  /// cascade, on every call — repeats are the caller's to dedupe. Per-stage
+  /// counters land in `ctx` when its slots were configured with
+  /// stage_names().
   EngineDecision decide(const WorldSet& a, const WorldSet& b,
                         AuditContext& ctx) const;
 
@@ -104,19 +104,18 @@ class DecisionEngine {
   /// runs with delta-evaluation for stages that support it, and the result
   /// is recorded (and pinned when the deciding stage reported monotone and
   /// ran first). Decisions are byte-identical to decide() for the same
-  /// (A, S); this path skips the (A, B)-pair memo and its hashing — the
-  /// session state *is* the memo. `inc` must be externally serialized (the
-  /// service holds the session mutex).
+  /// (A, S); the session state is this path's memo. `inc` must be externally
+  /// serialized (the service holds the session mutex).
   EngineDecision decide_incremental(const WorldSet& a, const WorldSet& s,
                                     IncrementalContext& inc,
                                     AuditContext& ctx) const;
 
   /// Batch sweep: decides A against every set in `bs` in one pass, writing
-  /// decisions[i] for bs[i]. With a pool the pairs fan out across its
-  /// workers (index-slot writes, so results — and, because the shared ctx's
-  /// memo is single-flight, every counter except wall time, even when `bs`
-  /// repeats a set — are identical at any worker count); without one they
-  /// run inline in index order.
+  /// decisions[i] for bs[i]. Each index is decided exactly once, so a set
+  /// repeated in `bs` is decided again (dedupe first). With a pool the pairs
+  /// fan out across its workers (index-slot writes, so results and every
+  /// counter except wall time are identical at any worker count); without
+  /// one they run inline in index order.
   std::vector<EngineDecision> decide_many(const WorldSet& a,
                                           std::span<const WorldSet* const> bs,
                                           AuditContext& ctx,

@@ -41,7 +41,8 @@ std::unique_ptr<CriterionStage> make_numeric_fallback_stage();
 
 /// Subcube-knowledge decision via the Section 4.1 interval machinery. Uses
 /// the AuditContext's prepared Delta classes when they were built for this
-/// audit query ("subcube-intervals(prepared)"), else the memoized oracle.
+/// audit query ("subcube-intervals(prepared)"), else the oracle's cached
+/// interval scan.
 std::unique_ptr<CriterionStage> make_subcube_interval_stage();
 
 }  // namespace epi

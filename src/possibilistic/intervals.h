@@ -6,7 +6,7 @@
 // a family with tight intervals may state them in closed form
 // (SigmaFamily::tight_delta_classes, e.g. the subcube family's
 // minimality sweep); every other family goes through the minimal-interval
-// scan over memoized interval() calls.
+// scan over cached interval() calls.
 #pragma once
 
 #include <cstddef>
@@ -23,7 +23,7 @@ namespace epi {
 
 /// Interval machinery for K = C (x) Sigma where Sigma is intersection-closed.
 ///
-/// All interval queries are memoized, so auditing many disclosures B_1..B_N
+/// All interval queries are cached, so auditing many disclosures B_1..B_N
 /// against one audit query A reuses the computed structure (the amortization
 /// pointed out after Proposition 4.1). A family that answers
 /// tight_delta_classes never reaches the memo from delta_partition,

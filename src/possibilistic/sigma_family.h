@@ -44,7 +44,7 @@ class SigmaFamily {
   /// (Cor. 4.14), and the answer lists those w2 in ascending order — exactly
   /// the classes the minimal-interval scan would find, in its order. The
   /// default returns nullopt, and IntervalOracle falls back to that scan
-  /// over memoized interval() calls.
+  /// over cached interval() calls.
   virtual std::optional<std::vector<std::size_t>> tight_delta_classes(
       std::size_t /*w1*/, const FiniteSet& /*x*/) const {
     return std::nullopt;

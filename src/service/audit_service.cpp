@@ -67,10 +67,6 @@ Status ServiceOptions::validate() const {
     return Status::InvalidArgument(
         "ServiceOptions: queue_capacity must be >= 1");
   }
-  if (cache_capacity > 0 && cache_shards == 0) {
-    return Status::InvalidArgument(
-        "ServiceOptions: cache_shards must be >= 1 when the cache is on");
-  }
   if (default_deadline.count() < 0) {
     return Status::InvalidArgument(
         "ServiceOptions: default_deadline must be >= 0");
@@ -143,7 +139,6 @@ AuditService::AuditService(std::shared_ptr<Scenario> scenario,
   if (options_.cache_capacity > 0) {
     VerdictCache::Options cache_options;
     cache_options.capacity = options_.cache_capacity;
-    cache_options.shards = options_.cache_shards;
     cache_ = std::make_unique<VerdictCache>(cache_options, metrics_);
   }
   workers_.reserve(options_.workers);

@@ -62,9 +62,9 @@ struct ServiceOptions {
   /// rejected with ResourceExhausted (>= 1). A request waiting behind a
   /// running request of the same user counts as waiting.
   std::size_t queue_capacity = 256;
-  /// Verdict cache entry budget; 0 disables caching entirely.
+  /// Verdict cache entry budget, spread over VerdictCache's default shard
+  /// count; 0 disables caching entirely.
   std::size_t cache_capacity = 4096;
-  unsigned cache_shards = 8;
   /// Applied to requests that carry no deadline of their own; zero means
   /// "no deadline".
   std::chrono::milliseconds default_deadline{0};

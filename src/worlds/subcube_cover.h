@@ -17,7 +17,7 @@
 // via the orthogonal-sharp subtraction), and semantic_hash() hashes a
 // representation-independent signature (exact model count + membership on a
 // fixed pseudo-random probe panel). Hash collisions are therefore possible
-// but harmless: every cache keyed by the hash (AuditContext memo,
+// but harmless: every table keyed by the hash (the Auditor's per-set dedupe,
 // VerdictCache) verifies equality on hit.
 #pragma once
 

@@ -1,22 +1,15 @@
 // Tests for the DecisionEngine subsystem: stage-cascade parity with a golden
 // frozen from the pre-engine decision paths, batch-audit determinism across
-// thread counts, per-audit caching and the single-flight pair memo, custom
+// thread counts, the batch's per-key compile cache and per-set dedupe, custom
 // stage registration and the thread pool itself.
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
-#include <condition_variable>
-#include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <functional>
-#include <future>
+#include <initializer_list>
 #include <memory>
-#include <mutex>
-#include <optional>
 #include <stdexcept>
-#include <thread>
 #include <vector>
 
 #include "core/audit_log.h"
@@ -137,19 +130,42 @@ TEST(DecisionEngine, MatchesLegacyDecisionPaths) {
   }
 }
 
-TEST(DecisionEngine, MemoizesPairVerdicts) {
-  const unsigned n = 3;
-  const DecisionEngine engine(n, PriorAssumption::kProduct, {});
-  Rng rng(0xF00D);
-  const WorldSet a = WorldSet::random(n, rng);
-  const WorldSet b = WorldSet::random(n, rng);
-  AuditContext ctx;
-  const EngineDecision first = engine.decide(a, b, ctx);
-  EXPECT_EQ(ctx.memo_hits(), 0u);
-  const EngineDecision again = engine.decide(a, b, ctx);
-  EXPECT_EQ(ctx.memo_hits(), 1u);
-  EXPECT_EQ(first.verdict, again.verdict);
-  EXPECT_EQ(first.method, again.method);
+// One AuditContext shared by the engines of two priors: each prior gets the
+// decision a fresh context gives it, in either order. Safe(A, B) depends on
+// the prior, so anything a context remembered from one engine and served to
+// the other would be wrong here: theorem-3.11 for the product prior on
+// B = {00,11}, and a false `safe miklau-suciu` for the unrestricted prior on
+// B = {01,11}.
+TEST(DecisionEngine, SharedContextDecidesEachPriorAfresh) {
+  const unsigned n = 2;
+  auto worlds = [&](std::initializer_list<const char*> bits) {
+    WorldSet s = WorldSet::empty(n);
+    for (const char* w : bits) s.insert(world_from_string(w));
+    return s;
+  };
+  const WorldSet a = worlds({"10", "11"});
+  const DecisionEngine unrestricted(n, PriorAssumption::kUnrestricted);
+  const DecisionEngine product(n, PriorAssumption::kProduct);
+  for (const WorldSet& b : {worlds({"00", "11"}), worlds({"01", "11"})}) {
+    for (bool product_first : {false, true}) {
+      const DecisionEngine* first = product_first ? &product : &unrestricted;
+      const DecisionEngine* second = product_first ? &unrestricted : &product;
+      AuditContext shared;
+      for (const DecisionEngine* engine : {first, second}) {
+        AuditContext fresh;
+        const EngineDecision want = engine->decide(a, b, fresh);
+        const EngineDecision got = engine->decide(a, b, shared);
+        const std::string label = to_string(engine->prior()) + " B=" +
+                                  b.to_string() +
+                                  (product_first ? " product first"
+                                                 : " unrestricted first");
+        EXPECT_EQ(to_string(got.verdict), to_string(want.verdict)) << label;
+        EXPECT_EQ(got.method, want.method) << label;
+        EXPECT_EQ(got.certified, want.certified) << label;
+        EXPECT_EQ(got.detail, want.detail) << label;
+      }
+    }
+  }
 }
 
 // decide_incremental must be byte-identical to decide() at every step of a
@@ -302,9 +318,68 @@ TEST(Auditor, CompilesEachDistinctDisclosureOncePerAudit) {
   // four disclosures and two per-user conjunctions consumed the sets.
   EXPECT_EQ(disclosed_set_call_count(), 2u);
   ASSERT_EQ(report.per_disclosure.size(), 4u);
-  // u2's and u3's conjunctions both equal the "x"-true disclosure; they
-  // dedupe to one pair which the phase-2 memo then answers: one memo hit.
+  // u2's and u3's conjunctions both equal the "x"-true disclosure's set, so
+  // the batch decides it once: four lookups (two keys, two distinct
+  // conjunctions) over three distinct sets, one memo hit.
+  EXPECT_EQ(report.metrics.counter("engine.memo.lookups"), 4);
   EXPECT_EQ(report.memo_hits(), 1u);
+}
+
+// `x` answered no and `!x` answered yes are two keys compiled to one set, and
+// both users' conjunctions are that set too. The batch decides it once, as it
+// would a log with only one of the two keys, at every thread count.
+TEST(Auditor, DecidesKeysThatCompileToOneSetOnce) {
+  RecordUniverse u;
+  u.add("x");
+  u.add("y");
+  AuditLog two_keys;
+  two_keys.record_with_answer("u1", "x", false);
+  two_keys.record_with_answer("u2", "!x", true);
+  AuditLog one_key;
+  one_key.record_with_answer("u1", "x", false);
+  one_key.record_with_answer("u2", "x", false);
+
+  std::string reference_report;
+  std::vector<StageStats> reference_stats;
+  for (unsigned threads : {1u, 4u}) {
+    AuditorOptions options;
+    options.threads = threads;
+    const Auditor auditor(u, PriorAssumption::kProduct, options);
+    const AuditReport report = auditor.audit(two_keys, "y");
+    const std::vector<StageStats> stats = report.stage_stats();
+
+    std::size_t decisions = 0;
+    for (const StageStats& s : stats) decisions += s.decisions;
+    EXPECT_EQ(decisions, 1u) << "the cascade runs once";
+    // Two keys and one distinct conjunction; all three are one set.
+    EXPECT_EQ(report.metrics.counter("engine.memo.lookups"), 3);
+    EXPECT_EQ(report.metrics.counter("engine.memo.hits"), 2);
+
+    const std::vector<StageStats> one_key_stats =
+        auditor.audit(one_key, "y").stage_stats();
+    ASSERT_EQ(stats.size(), one_key_stats.size());
+    for (std::size_t i = 0; i < stats.size(); ++i) {
+      EXPECT_EQ(stats[i].invocations, one_key_stats[i].invocations)
+          << stats[i].name;
+      EXPECT_EQ(stats[i].decisions, one_key_stats[i].decisions)
+          << stats[i].name;
+    }
+
+    const std::string text = format_report(report);
+    if (threads == 1) {
+      reference_report = text;
+      reference_stats = stats;
+      continue;
+    }
+    EXPECT_EQ(text, reference_report) << threads << " threads";
+    ASSERT_EQ(stats.size(), reference_stats.size());
+    for (std::size_t i = 0; i < stats.size(); ++i) {
+      EXPECT_EQ(stats[i].invocations, reference_stats[i].invocations)
+          << threads << " threads, stage " << stats[i].name;
+      EXPECT_EQ(stats[i].decisions, reference_stats[i].decisions)
+          << threads << " threads, stage " << stats[i].name;
+    }
+  }
 }
 
 TEST(Auditor, StageStatsExposedInReport) {
@@ -384,152 +459,6 @@ TEST(DecisionEngine, RegisteredCustomStageRunsFirst) {
   ASSERT_FALSE(stats.empty());
   EXPECT_EQ(stats[0].name, "custom-veto");
   EXPECT_GT(stats[0].decisions, 0u);
-}
-
-/// Holds a GatedStage's first call until open(), and counts every call.
-struct Gate {
-  std::mutex mutex;
-  std::condition_variable cv;
-  bool is_open = false;
-  std::atomic<int> calls{0};
-
-  void open() {
-    {
-      std::lock_guard<std::mutex> lock(mutex);
-      is_open = true;
-    }
-    cv.notify_all();
-  }
-};
-
-/// Decides every pair Safe, like VetoStage, except that its first call waits
-/// for the gate and then, with `throw_first`, throws instead of deciding.
-class GatedStage : public CriterionStage {
- public:
-  GatedStage(Gate& gate, bool throw_first)
-      : gate_(gate), throw_first_(throw_first) {}
-  std::string_view name() const override { return "gated"; }
-  StageDecision decide(const WorldSet&, const WorldSet&,
-                       AuditContext&) const override {
-    if (gate_.calls.fetch_add(1) == 0) {
-      std::unique_lock<std::mutex> lock(gate_.mutex);
-      gate_.cv.wait(lock, [&] { return gate_.is_open; });
-      if (throw_first_) throw std::runtime_error("gated stage failed");
-    }
-    StageDecision d;
-    d.verdict = Verdict::kSafe;
-    d.method = "gated";
-    return d;
-  }
-
- private:
-  Gate& gate_;
-  bool throw_first_;
-};
-
-/// Polls `done` every millisecond for up to 30 s; returns whether it held.
-bool eventually(const std::function<bool()>& done) {
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(30);
-  while (!done()) {
-    if (std::chrono::steady_clock::now() > deadline) return false;
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  return true;
-}
-
-/// Two threads decide one (A, B) on one AuditContext, and they overlap for
-/// certain rather than when the timing allows: the gate holds the first
-/// caller inside the cascade until the second has looked the pair up.
-class SingleFlightMemo : public ::testing::Test {
- protected:
-  /// What one decide() call returned: a decision or the stage's exception.
-  struct Outcome {
-    std::optional<EngineDecision> decision;
-    bool threw = false;
-  };
-
-  void overlap(bool throw_first) {
-    engine.register_stage(std::make_unique<GatedStage>(gate, throw_first), 0);
-    ctx.reset_stages(engine.stage_names());
-    std::future<Outcome> first_call = decide_async();
-    EXPECT_TRUE(eventually([&] { return gate.calls.load() == 1; }));
-    std::future<Outcome> second_call = decide_async();
-    EXPECT_TRUE(eventually([&] { return lookups.value() == 2; }));
-    gate.open();
-    first = finish(first_call);
-    second = finish(second_call);
-  }
-
-  /// engine.decide(a, b, ctx) on its own thread.
-  std::future<Outcome> decide_async() {
-    return std::async(std::launch::async, [this] {
-      Outcome out;
-      try {
-        out.decision = engine.decide(a, b, ctx);
-      } catch (const std::runtime_error&) {
-        out.threw = true;
-      }
-      return out;
-    });
-  }
-
-  /// The call's outcome. A caller still blocked after 30 s is stranded for
-  /// good, and no join of its thread could return, so the test aborts
-  /// rather than hang.
-  static Outcome finish(std::future<Outcome>& call) {
-    if (call.wait_for(std::chrono::seconds(30)) != std::future_status::ready) {
-      std::fprintf(stderr, "decide() still blocked after 30 s: the memo "
-                           "stranded a waiter\n");
-      std::abort();
-    }
-    return call.get();
-  }
-
-  Gate gate;
-  DecisionEngine engine{2, PriorAssumption::kUnrestricted};
-  AuditContext ctx;
-  const obs::Counter& lookups = ctx.metrics().counter("engine.memo.lookups");
-  const WorldSet a{2, {0b01, 0b11}};
-  const WorldSet b{2, {0b00, 0b01}};
-  Outcome first;
-  Outcome second;
-};
-
-// The second caller waits for the first's claim instead of running the
-// cascade again, and counts as a memo hit — what a serial repeat counts.
-TEST_F(SingleFlightMemo, WaiterCountsAsHitAndStageRunsOnce) {
-  overlap(/*throw_first=*/false);
-  ASSERT_TRUE(first.decision.has_value());
-  ASSERT_TRUE(second.decision.has_value());
-  EXPECT_EQ(first.decision->method, "gated");
-  EXPECT_EQ(second.decision->method, first.decision->method);
-  EXPECT_EQ(second.decision->verdict, first.decision->verdict);
-  EXPECT_EQ(gate.calls.load(), 1);
-  EXPECT_EQ(ctx.stage_stats().front().invocations, 1u);
-  EXPECT_EQ(ctx.memo_hits(), 1u);
-  EXPECT_EQ(lookups.value(), 2);
-}
-
-// A claimant whose cascade throws must not strand its waiter. The exception
-// reaches the claimant; the waiter takes the pair over and decides it, as a
-// serial caller after the failure would.
-TEST_F(SingleFlightMemo, ThrowingClaimantReleasesWaiter) {
-  overlap(/*throw_first=*/true);
-  for (const Outcome* o : {&first, &second}) {
-    EXPECT_NE(o->decision.has_value(), o->threw)
-        << "a caller must get exactly one of a decision or the exception";
-  }
-  EXPECT_TRUE(first.threw);
-  ASSERT_TRUE(second.decision.has_value());
-  EXPECT_EQ(second.decision->method, "gated");
-  EXPECT_EQ(gate.calls.load(), 2);
-  EXPECT_EQ(ctx.memo_hits(), 0u);
-  EXPECT_EQ(lookups.value(), 2);
-  // The pair the waiter took over is memoized like any other.
-  EXPECT_EQ(engine.decide(a, b, ctx).method, "gated");
-  EXPECT_EQ(ctx.memo_hits(), 1u);
-  EXPECT_EQ(gate.calls.load(), 2);
 }
 
 TEST(ThreadPool, CoversEveryIndexExactlyOnce) {

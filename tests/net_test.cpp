@@ -272,7 +272,6 @@ std::unique_ptr<service::AuditService> make_service() {
   options.workers = 2;
   options.queue_capacity = 64;
   options.cache_capacity = 64;
-  options.cache_shards = 4;
   std::unique_ptr<service::AuditService> service;
   const Status s = service::AuditService::try_create(
       hospital_universe(), /*initial_state=*/0b011, "bob_hiv",

@@ -43,7 +43,6 @@ ServiceOptions small_service_options() {
   options.workers = 2;
   options.queue_capacity = 32;
   options.cache_capacity = 64;
-  options.cache_shards = 4;
   return options;
 }
 
