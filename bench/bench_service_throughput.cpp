@@ -241,7 +241,7 @@ int main(int argc, char** argv) {
   std::printf(
       "\nReading: the cold pass pays one engine decision per distinct\n"
       "(disclosure, conjunction) pair; the warm pass is the steady state of\n"
-      "a long-running service, where the sharded verdict cache serves repeat\n"
+      "a long-running service, where the disclosure memo serves repeat\n"
       "decisions and throughput is bounded by session bookkeeping and the\n"
       "request queue. Verdicts are byte-identical to the offline auditor in\n"
       "every configuration (tests/service_test.cpp pins this).\n");

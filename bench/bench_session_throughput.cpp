@@ -5,10 +5,10 @@
 // Safe(A, Sk) after every disclosure. This bench replays the same shrinking
 // sessions through both cumulative-verdict strategies:
 //
-//   recompute    — what the service runs with incremental_sessions = false:
-//                  per step, a service::VerdictCache lookup of (A, S) and,
-//                  on a miss, DecisionEngine::decide() and an insert (every
-//                  step hashes S; only a repeated S skips the cascade);
+//   recompute    — per step, a lookup of S in a per-round verdict memo
+//                  and, on a miss, DecisionEngine::decide() and an insert
+//                  (every step hashes S; only a repeated S skips the
+//                  cascade);
 //   incremental  — DecisionEngine::decide_incremental() with one persistent
 //                  IncrementalContext per session, so a step costs O(change):
 //                  pinned monotone verdicts and unchanged-S repeats are O(1),
@@ -37,8 +37,8 @@
 #include <cstdio>
 #include <cstring>
 #include <memory>
-#include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "bench_json.h"
@@ -47,8 +47,6 @@
 #include "db/record.h"
 #include "engine/decision_engine.h"
 #include "engine/incremental.h"
-#include "obs/metrics.h"
-#include "service/verdict_cache.h"
 #include "util/rng.h"
 #include "workloads/family.h"
 #include "worlds/world_set.h"
@@ -244,20 +242,15 @@ AxisTiming run_recompute(const Scenario& sc,
   for (unsigned r = 0; r < rounds; ++r) {
     AuditContext ctx;
     setup_context(ctx, sc);
-    // Fresh cache per round: it must not carry answers from a previous
-    // replay of the very same sessions.
-    obs::MetricsRegistry metrics;
-    service::VerdictCache cache(service::VerdictCache::Options{}, metrics);
-    // AuditService::decide's cache-then-cascade path.
+    // Fresh memo per round: it must not carry answers from a previous
+    // replay of the very same sessions. A round holds at most 16 x 128
+    // distinct S, fewer than a service memo's default 4096 entries, so a
+    // bounded memo would evict nothing here.
+    std::unordered_map<WorldSet, EngineDecision, WorldSetHash> memo;
     auto decide = [&](const WorldSet& s) {
-      const service::VerdictKey key =
-          service::VerdictCache::key_for(sc.a, s, engine.prior());
-      if (std::optional<EngineDecision> hit = cache.lookup(key, sc.a, s)) {
-        return *hit;
-      }
-      EngineDecision decision = engine.decide(sc.a, s, ctx);
-      cache.insert(key, sc.a, s, decision);
-      return decision;
+      const auto hit = memo.find(s);
+      if (hit != memo.end()) return hit->second;
+      return memo.emplace(s, engine.decide(sc.a, s, ctx)).first->second;
     };
     double round_total = 0, round_rest = 0;
     std::size_t round_steps = 0, round_rest_steps = 0;

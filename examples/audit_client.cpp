@@ -10,9 +10,8 @@
 //                     [--op hello|metrics|reset_session|shutdown
 //                         |add_worker|remove_worker]
 //
-// --socket PATH stays as the legacy spelling of --connect unix:PATH. The
-// add_worker / remove_worker ops are shard_router admin (--addr names the
-// worker's listen address); a plain audit_server rejects them.
+// The add_worker / remove_worker ops are shard_router admin (--addr names
+// the worker's listen address); a plain audit_server rejects them.
 //
 // --query-file lines are `user<TAB>query[<TAB>true|false]`; the optional
 // third field replays a logged answer instead of letting the server evaluate
@@ -46,7 +45,6 @@ constexpr char kUsage[] =
     "                    [--op hello|metrics|reset_session|shutdown\n"
     "                        |add_worker|remove_worker]\n"
     "  --connect ADDR      server address (unix:PATH or tcp:HOST:PORT)\n"
-    "  --socket PATH       legacy alias for --connect unix:PATH\n"
     "  --user NAME         user for --query queries and reset_session\n"
     "                      (default 'client')\n"
     "  --query TEXT        audit one query (repeatable, sent in order)\n"
@@ -87,9 +85,6 @@ epi::Status parse_args(int argc, char** argv, ClientOptions* out) {
     const char* value = nullptr;
     if (std::strcmp(argv[i], "--help") == 0 || std::strcmp(argv[i], "-h") == 0) {
       out->help = true;
-    } else if (std::strcmp(argv[i], "--socket") == 0) {
-      if (const epi::Status s = next_value(i, "--socket", &value); !s.ok()) return s;
-      out->connect_spec = std::string("unix:") + value;
     } else if (std::strcmp(argv[i], "--connect") == 0) {
       if (const epi::Status s = next_value(i, "--connect", &value); !s.ok()) return s;
       out->connect_spec = value;
@@ -128,7 +123,7 @@ epi::Status parse_args(int argc, char** argv, ClientOptions* out) {
     }
   }
   if (!out->help && out->connect_spec.empty()) {
-    return epi::Status::InvalidArgument("--connect (or --socket) is required");
+    return epi::Status::InvalidArgument("--connect is required");
   }
   return epi::Status::Ok();
 }

@@ -9,16 +9,15 @@
 //   $ printf '{"op": "audit", "id": 1, "user": "alice", "query": "bob_hiv"}\n' |
 //       socat - UNIX-CONNECT:/tmp/epi.sock
 //
-// Usage: audit_server [--listen unix:PATH|tcp:HOST:PORT]... [--socket PATH]
+// Usage: audit_server [--listen unix:PATH|tcp:HOST:PORT]...
 //                     [--scenario FILE] [--workers N] [--queue-capacity N]
 //                     [--cache-capacity N] [--online truthful|simulatable]
 //                     [--default-deadline-ms N] [--idle-timeout-ms N]
 //
 // --listen repeats; every listener serves simultaneously. `tcp:HOST:0` gets
 // a kernel-assigned port, printed as `audit_server: listening on ...` so
-// scripts can scrape the dialable address. --socket PATH is the legacy
-// spelling of --listen unix:PATH. A stale Unix socket file left by a crash
-// is probed and unlinked; a live server on it is a startup error.
+// scripts can scrape the dialable address. A stale Unix socket file left by
+// a crash is probed and unlinked; a live server on it is a startup error.
 //
 // The scenario file (language: src/core/scenario.h) supplies the record
 // universe, the database state and — from its last `audit` directive — the
@@ -66,7 +65,7 @@ audit bob_hiv
 )";
 
 constexpr char kUsage[] =
-    "usage: audit_server [--listen unix:PATH|tcp:HOST:PORT]... [--socket PATH]\n"
+    "usage: audit_server [--listen unix:PATH|tcp:HOST:PORT]...\n"
     "                    [--scenario FILE] [--workers N] [--queue-capacity N]\n"
     "                    [--cache-capacity N]\n"
     "                    [--online truthful|simulatable]\n"
@@ -75,13 +74,13 @@ constexpr char kUsage[] =
     "                           listeners serve simultaneously; tcp HOST:0\n"
     "                           picks a free port, printed on startup).\n"
     "                           Default unix:/tmp/epi_audit.sock\n"
-    "  --socket PATH            legacy alias for --listen unix:PATH\n"
     "  --scenario FILE          scenario script supplying records, state and\n"
     "                           the audited property (default: built-in demo)\n"
     "  --workers N              service worker threads (default 2)\n"
     "  --queue-capacity N       bounded request queue; beyond it submissions\n"
     "                           are rejected with ResourceExhausted\n"
-    "  --cache-capacity N       verdict cache entries (0 disables caching)\n"
+    "  --cache-capacity N       distinct disclosed sets memoized with their\n"
+    "                           verdicts (0 keeps none)\n"
     "  --online STRATEGY        deny-unsafe online auditing: truthful leaks\n"
     "                           through denials, simulatable does not\n"
     "  --default-deadline-ms N  deadline for requests that carry none\n"
@@ -122,9 +121,6 @@ epi::Status parse_args(int argc, char** argv, ServerOptions* out) {
     } else if (std::strcmp(argv[i], "--listen") == 0) {
       if (const epi::Status s = next_value(i, "--listen", &value); !s.ok()) return s;
       out->listen_specs.push_back(value);
-    } else if (std::strcmp(argv[i], "--socket") == 0) {
-      if (const epi::Status s = next_value(i, "--socket", &value); !s.ok()) return s;
-      out->listen_specs.push_back(std::string("unix:") + value);
     } else if (std::strcmp(argv[i], "--scenario") == 0) {
       if (const epi::Status s = next_value(i, "--scenario", &value); !s.ok()) return s;
       out->scenario_path = value;

@@ -8,7 +8,7 @@
 //   $ audit_server --listen tcp:127.0.0.1:7101 --scenario h.scn &
 //   $ audit_server --listen tcp:127.0.0.1:7102 --scenario h.scn &
 //   $ shard_router --listen unix:/tmp/epi_router.sock --worker tcp:127.0.0.1:7101 --worker tcp:127.0.0.1:7102 &
-//   $ audit_client --socket /tmp/epi_router.sock --query bob_hiv
+//   $ audit_client --connect unix:/tmp/epi_router.sock --query bob_hiv
 //
 // Usage: shard_router [--listen unix:PATH|tcp:HOST:PORT]...
 //                     [--worker ADDR]... [--vnodes N]

@@ -30,6 +30,10 @@ std::size_t disclosed_set_call_count() {
 
 void reset_disclosed_set_call_count() { disclosed_set_counter().set(0); }
 
+std::string disclosure_key(const std::string& query_text, bool answer) {
+  return query_text + (answer ? "\x1f+" : "\x1f-");
+}
+
 bool AuditLog::record(const std::string& user, const std::string& query_text,
                       const InMemoryDatabase& db, const std::string& timestamp) {
   Disclosure d;

@@ -26,6 +26,11 @@ struct Disclosure {
                          SetBackend backend = SetBackend::kAuto) const;
 };
 
+/// The key of a disclosure's compiled set: the same query text answered the
+/// same way discloses the same set, whoever asked. Keys the offline batch
+/// dedupe and the service's disclosure memo.
+std::string disclosure_key(const std::string& query_text, bool answer);
+
 /// Instrumentation: process-wide number of Disclosure::disclosed_set calls
 /// (i.e. query compilations). Batch audits cache each disclosure's compiled
 /// set, so one audit() compiles each distinct (query, answer) exactly once —

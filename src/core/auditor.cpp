@@ -14,22 +14,6 @@
 namespace epi {
 namespace {
 
-/// Cache key for a disclosure's compiled WorldSet: same query text answered
-/// the same way discloses the same set, whoever asked.
-std::string disclosure_key(const Disclosure& d) {
-  return d.query_text + (d.answer ? "\x1f+" : "\x1f-");
-}
-
-/// Keys a map by the set a pointer points to, so the dedupe copies no set.
-struct PointeeHash {
-  std::size_t operator()(const WorldSet* s) const { return s->hash(); }
-};
-struct PointeeEqual {
-  bool operator()(const WorldSet* x, const WorldSet* y) const {
-    return *x == *y;
-  }
-};
-
 AuditFinding to_finding(const EngineDecision& d) {
   AuditFinding f;
   f.verdict = d.verdict;
@@ -218,7 +202,8 @@ Auditor::BatchShared Auditor::build_shared(const AuditLog& log) const {
     obs::ScopedSpan compile_span("audit.compile-disclosures");
     std::unordered_map<std::string, std::size_t> slot_of_key;
     for (const Disclosure& d : entries) {
-      auto [it, fresh] = slot_of_key.try_emplace(disclosure_key(d));
+      auto [it, fresh] =
+          slot_of_key.try_emplace(disclosure_key(d.query_text, d.answer));
       if (fresh) it->second = slot_for(d.disclosed_set(universe_, backend));
       shared.entry_slot.push_back(it->second);
     }

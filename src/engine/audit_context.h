@@ -3,7 +3,8 @@
 // AuditContext lives for the duration of one Auditor::audit() call and is
 // shared by every worker deciding pairs for it; a decision only adds to its
 // atomic counters. It memoizes no verdicts: an audit decides each distinct
-// set once (Auditor::BatchShared), and the service keeps its VerdictCache.
+// set once (Auditor::BatchShared), and the service keeps one disclosure memo
+// per scenario (service/disclosure_memo.h).
 #pragma once
 
 #include <cstdint>

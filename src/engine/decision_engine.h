@@ -4,7 +4,7 @@
 // projection onto critical coordinates (Section 6's "relevant worlds"
 // argument, including witness lifting) and accumulates per-stage statistics
 // in the AuditContext. It memoizes nothing: callers decide each distinct pair
-// once (the Auditor's batch dedupe, the service's VerdictCache).
+// once (the Auditor's batch dedupe, the service's disclosure memo).
 #pragma once
 
 #include <memory>

@@ -18,11 +18,6 @@ std::int64_t now_ns() {
 
 constexpr std::chrono::steady_clock::time_point kNoDeadline{};
 
-/// Same cache key the offline auditor uses for compiled disclosure sets.
-std::string disclosure_key(const std::string& query_text, bool answer) {
-  return query_text + (answer ? "\x1f+" : "\x1f-");
-}
-
 AuditFinding to_finding(const EngineDecision& d, std::string user,
                         std::string query_text, bool answer) {
   AuditFinding f;
@@ -76,15 +71,26 @@ Status ServiceOptions::validate() const {
 
 AuditService::Scenario::Scenario(RecordUniverse u, World state,
                                  std::string query_text, PriorAssumption p,
-                                 const AuditorOptions& opts)
+                                 const ServiceOptions& opts,
+                                 obs::MetricsRegistry& metrics)
     : universe(std::move(u)),
       db(universe),
       audit_query_text(std::move(query_text)),
       prior(p),
-      auditor(universe, p, opts),
+      auditor(universe, p, opts.auditor),
       audit_set(parse_query(audit_query_text)
-                    ->compile(universe, auditor.resolved_backend())) {
+                    ->compile(universe, auditor.resolved_backend())),
+      memo(opts.cache_capacity, metrics) {
   db.set_state(state);
+}
+
+DisclosureMemo::EntryPtr AuditService::Scenario::disclosed(
+    const std::string& query_text, bool answer, const Query& parsed) {
+  std::string key = disclosure_key(query_text, answer);
+  if (DisclosureMemo::EntryPtr hit = memo.find(key)) return hit;
+  WorldSet satisfying = parsed.compile(universe, auditor.resolved_backend());
+  return memo.intern(std::move(key),
+                     answer ? std::move(satisfying) : ~satisfying);
 }
 
 Status AuditService::try_create(RecordUniverse universe, World initial_state,
@@ -92,32 +98,20 @@ Status AuditService::try_create(RecordUniverse universe, World initial_state,
                                 PriorAssumption prior, ServiceOptions options,
                                 std::unique_ptr<AuditService>* out) {
   if (const Status s = options.validate(); !s.ok()) return s;
-  if (const Status s = validate_scenario_inputs(universe, initial_state,
-                                                audit_query_text);
+  // Decisions never fan out per pair; concurrency comes from the workers.
+  options.auditor.threads = 1;
+  std::unique_ptr<AuditService> service(new AuditService(std::move(options)));
+  if (const Status s = service->install(std::move(universe), initial_state,
+                                        audit_query_text, prior);
       !s.ok()) {
     return s;
   }
-  // Decisions never fan out per pair; concurrency comes from the workers.
-  options.auditor.threads = 1;
-  std::shared_ptr<Scenario> scenario;
-  try {
-    scenario = std::make_shared<Scenario>(std::move(universe), initial_state,
-                                          audit_query_text, prior,
-                                          options.auditor);
-  } catch (const std::exception& e) {
-    return Status::InvalidArgument(std::string("AuditService: ") + e.what());
-  }
-  scenario->generation = 1;
-  *out = std::unique_ptr<AuditService>(
-      new AuditService(std::move(scenario), std::move(options)));
+  *out = std::move(service);
   return Status::Ok();
 }
 
-AuditService::AuditService(std::shared_ptr<Scenario> scenario,
-                           ServiceOptions options)
+AuditService::AuditService(ServiceOptions options)
     : options_(std::move(options)),
-      scenario_(std::move(scenario)),
-      next_generation_(2),
       accepted_(&metrics_.counter("service.requests.accepted")),
       rejected_(&metrics_.counter("service.requests.rejected")),
       completed_(&metrics_.counter("service.requests.completed")),
@@ -136,11 +130,6 @@ AuditService::AuditService(std::shared_ptr<Scenario> scenario,
       parse_skips_(&metrics_.counter("service.requests.parse_skips")),
       queue_wait_ns_(&metrics_.histogram("service.request.queue_wait_ns")),
       process_ns_(&metrics_.histogram("service.request.process_ns")) {
-  if (options_.cache_capacity > 0) {
-    VerdictCache::Options cache_options;
-    cache_options.capacity = options_.cache_capacity;
-    cache_ = std::make_unique<VerdictCache>(cache_options, metrics_);
-  }
   workers_.reserve(options_.workers);
   for (unsigned i = 0; i < options_.workers; ++i) {
     workers_.emplace_back([this] { worker_loop(); });
@@ -354,46 +343,6 @@ void AuditService::configure_context(AuditContext& ctx,
   }
 }
 
-const WorldSet& AuditService::compiled_disclosure(Scenario& scenario,
-                                                  const std::string& query_text,
-                                                  bool answer, QueryPtr parsed) {
-  const std::string key = disclosure_key(query_text, answer);
-  std::lock_guard<std::mutex> lock(scenario.compiled_mutex);
-  const auto it = scenario.compiled.find(key);
-  if (it != scenario.compiled.end()) return it->second;
-  WorldSet satisfying =
-      parsed->compile(scenario.universe, scenario.auditor.resolved_backend());
-  WorldSet disclosed = answer ? std::move(satisfying) : ~satisfying;
-  return scenario.compiled.emplace(key, std::move(disclosed)).first->second;
-}
-
-const WorldSet* AuditService::find_compiled(Scenario& scenario,
-                                            const std::string& query_text,
-                                            bool answer) {
-  const std::string key = disclosure_key(query_text, answer);
-  std::lock_guard<std::mutex> lock(scenario.compiled_mutex);
-  const auto it = scenario.compiled.find(key);
-  return it == scenario.compiled.end() ? nullptr : &it->second;
-}
-
-EngineDecision AuditService::decide(const Scenario& scenario, const WorldSet& b,
-                                    AuditContext& ctx, bool* cached) {
-  *cached = false;
-  VerdictKey key;
-  if (cache_) {
-    key = VerdictCache::key_for(scenario.audit_set, b, scenario.prior);
-    if (std::optional<EngineDecision> hit =
-            cache_->lookup(key, scenario.audit_set, b)) {
-      *cached = true;
-      return *hit;
-    }
-  }
-  EngineDecision decision =
-      scenario.auditor.engine().decide(scenario.audit_set, b, ctx);
-  if (cache_) cache_->insert(key, scenario.audit_set, b, decision);
-  return decision;
-}
-
 std::shared_ptr<Session> AuditService::session_for(const std::string& user,
                                                    const Scenario& scenario) {
   std::lock_guard<std::mutex> lock(sessions_mutex_);
@@ -471,24 +420,24 @@ AuditResponse AuditService::handle(Pending& pending,
     return response;
   }
 
-  // Replayed-log requests name a (query, answer) pair the scenario may have
-  // compiled already — e.g. a router rebalance replaying a whole session —
-  // in which case the parse is skipped outright (parse-once). Live requests
-  // always parse: the database / online strategy needs the Query tree.
-  QueryPtr parsed;
-  const WorldSet* known = nullptr;
+  // Replayed-log requests name a (query, answer) pair the memo may hold
+  // already — e.g. a router rebalance replaying a whole session — in which
+  // case the parse is skipped outright. Live requests always parse: the
+  // database / online strategy needs the Query tree. Malformed queries
+  // never reach the memo, so each one fails afresh.
+  const std::string& query_text = pending.request.query_text;
+  DisclosureMemo::EntryPtr disclosed;
   if (pending.request.answer.has_value()) {
-    known = find_compiled(*scenario, pending.request.query_text,
-                          *pending.request.answer);
-    if (known != nullptr) parse_skips_->add(1);
+    disclosed = scenario->memo.find(
+        disclosure_key(query_text, *pending.request.answer));
   }
-  if (known == nullptr) {
-    if (const Status s = try_parse_query(pending.request.query_text, &parsed);
-        !s.ok()) {
-      parse_errors_->add(1);
-      response.status = s;
-      return response;
-    }
+  QueryPtr parsed;
+  if (disclosed) {
+    parse_skips_->add(1);
+  } else if (const Status s = try_parse_query(query_text, &parsed); !s.ok()) {
+    parse_errors_->add(1);
+    response.status = s;
+    return response;
   }
 
   // Held for the whole request: a concurrent reload() only removes the map
@@ -505,9 +454,8 @@ AuditResponse AuditService::handle(Pending& pending,
   } else if (session.online() != nullptr) {
     // Online mode with an allow/deny strategy: the strategy decides whether
     // answering is simulatably safe before anything is disclosed.
-    const WorldSet& true_set = compiled_disclosure(
-        *scenario, pending.request.query_text, /*answer=*/true, parsed);
-    const OnlineResponse online = session.online()->ask(true_set);
+    const OnlineResponse online = session.online()->ask(
+        scenario->disclosed(query_text, /*answer=*/true, *parsed)->set);
     if (online.denied) {
       denied_->add(1);
       response.denied = true;
@@ -521,16 +469,16 @@ AuditResponse AuditService::handle(Pending& pending,
   }
   response.answer = answer;
 
-  const WorldSet& disclosed =
-      known != nullptr
-          ? *known
-          : compiled_disclosure(*scenario, pending.request.query_text, answer,
-                                parsed);
-  const EngineDecision disclosure_decision =
-      decide(*scenario, disclosed, ctx, &response.disclosure_cached);
-  response.disclosure =
-      to_finding(disclosure_decision, pending.request.user,
-                 pending.request.query_text, answer);
+  if (!disclosed) disclosed = scenario->disclosed(query_text, answer, *parsed);
+  const DecisionEngine& engine = scenario->auditor.engine();
+  const EngineDecision disclosure_decision = scenario->memo.decision(
+      *disclosed,
+      [&](const WorldSet& b) {
+        return engine.decide(scenario->audit_set, b, ctx);
+      },
+      &response.disclosure_cached);
+  response.disclosure = to_finding(disclosure_decision, pending.request.user,
+                                   query_text, answer);
 
   if (options_.test_hook_pre_absorb) options_.test_hook_pre_absorb();
   if (Status s = checkpoint(); !s.ok()) {
@@ -540,37 +488,29 @@ AuditResponse AuditService::handle(Pending& pending,
     // under-counts and later cumulative verdicts could falsely report safe.
     // In live mode nothing was shown to the user, so nothing is absorbed.
     if (pending.request.answer.has_value()) {
-      response.sequence = session.absorb(disclosed);
+      response.sequence = session.absorb(disclosed->set);
     }
     response.status = std::move(s);
     return response;
   }
 
-  response.sequence = session.absorb(disclosed);
-  EngineDecision cumulative_decision;
-  if (options_.incremental_sessions) {
-    // Delta-evaluation against the session's persistent state; byte-identical
-    // to the recompute branch below (service-composition model check). This
-    // path does not consult the VerdictCache — the session state plays that
-    // role without hashing the accumulated set — so cumulative_cached stays
-    // false; the incremental counters say how the verdict was served.
-    IncrementalContext& inc = session.incremental();
-    cumulative_decision = scenario->auditor.engine().decide_incremental(
-        scenario->audit_set, session.accumulated(), inc, ctx);
-    switch (inc.last_mode) {
-      case IncrementalContext::Mode::kPinned:
-        incremental_pinned_->add(1);
-        break;
-      case IncrementalContext::Mode::kUnchanged:
-        incremental_unchanged_->add(1);
-        break;
-      default:
-        incremental_evaluated_->add(1);
-        break;
-    }
-  } else {
-    cumulative_decision = decide(*scenario, session.accumulated(), ctx,
-                                 &response.cumulative_cached);
+  response.sequence = session.absorb(disclosed->set);
+  // Delta-evaluation against the session's persistent state; the
+  // service-composition model check holds it to a from-scratch decision of
+  // the accumulated set at every step.
+  IncrementalContext& inc = session.incremental();
+  const EngineDecision cumulative_decision = engine.decide_incremental(
+      scenario->audit_set, session.accumulated(), inc, ctx);
+  switch (inc.last_mode) {
+    case IncrementalContext::Mode::kPinned:
+      incremental_pinned_->add(1);
+      break;
+    case IncrementalContext::Mode::kUnchanged:
+      incremental_unchanged_->add(1);
+      break;
+    default:
+      incremental_evaluated_->add(1);
+      break;
   }
   response.cumulative = to_finding(
       cumulative_decision, pending.request.user,
@@ -580,9 +520,9 @@ AuditResponse AuditService::handle(Pending& pending,
   return response;
 }
 
-Status AuditService::reload(RecordUniverse universe, World initial_state,
-                            const std::string& audit_query_text,
-                            PriorAssumption prior) {
+Status AuditService::install(RecordUniverse universe, World initial_state,
+                             const std::string& audit_query_text,
+                             PriorAssumption prior) {
   if (const Status s = validate_scenario_inputs(universe, initial_state,
                                                 audit_query_text);
       !s.ok()) {
@@ -591,22 +531,29 @@ Status AuditService::reload(RecordUniverse universe, World initial_state,
   std::shared_ptr<Scenario> fresh;
   try {
     fresh = std::make_shared<Scenario>(std::move(universe), initial_state,
-                                       audit_query_text, prior,
-                                       options_.auditor);
+                                       audit_query_text, prior, options_,
+                                       metrics_);
   } catch (const std::exception& e) {
     return Status::InvalidArgument(std::string("AuditService: ") + e.what());
   }
-  {
-    std::unique_lock<std::shared_mutex> lock(scenario_mutex_);
-    fresh->generation = next_generation_++;
-    scenario_ = std::move(fresh);
+  std::unique_lock<std::shared_mutex> lock(scenario_mutex_);
+  fresh->generation = next_generation_++;
+  scenario_ = std::move(fresh);
+  return Status::Ok();
+}
+
+Status AuditService::reload(RecordUniverse universe, World initial_state,
+                            const std::string& audit_query_text,
+                            PriorAssumption prior) {
+  if (const Status s = install(std::move(universe), initial_state,
+                               audit_query_text, prior);
+      !s.ok()) {
+    return s;
   }
   {
     std::lock_guard<std::mutex> lock(sessions_mutex_);
     sessions_.clear();
   }
-  // Old-generation verdicts must not be served against the new scenario.
-  if (cache_) cache_->invalidate_all();
   reloads_->add(1);
   return Status::Ok();
 }

@@ -7,8 +7,9 @@
 //  * per-user Session objects track accumulated disclosures by intersection
 //    (Section 3.3 composition) and optionally drive an OnlineAuditSession
 //    allow/deny strategy;
-//  * a sharded LRU VerdictCache keyed by (hash(A), hash(B), prior) serves
-//    repeat decisions without touching the engine;
+//  * one bounded DisclosureMemo per scenario maps (query text, answer) to
+//    its compiled disclosed set and that set's verdict, so a repeat needs
+//    no parse, compile or engine decision;
 //  * a bounded request queue with admission control: a full queue rejects
 //    with Status::ResourceExhausted (backpressure), each request carries a
 //    deadline and a cooperative cancellation flag, and shutdown() drains
@@ -43,8 +44,8 @@
 
 #include "core/auditor.h"
 #include "core/online.h"
+#include "service/disclosure_memo.h"
 #include "service/session.h"
-#include "service/verdict_cache.h"
 #include "util/status.h"
 
 namespace epi {
@@ -62,8 +63,8 @@ struct ServiceOptions {
   /// rejected with ResourceExhausted (>= 1). A request waiting behind a
   /// running request of the same user counts as waiting.
   std::size_t queue_capacity = 256;
-  /// Verdict cache entry budget, spread over VerdictCache's default shard
-  /// count; 0 disables caching entirely.
+  /// Distinct disclosed sets each scenario's DisclosureMemo keeps, with
+  /// their verdicts; 0 keeps none.
   std::size_t cache_capacity = 4096;
   /// Applied to requests that carry no deadline of their own; zero means
   /// "no deadline".
@@ -71,17 +72,6 @@ struct ServiceOptions {
   /// When set, each session drives an OnlineAuditSession with this strategy
   /// and requests may be denied (AuditResponse::denied) before disclosing.
   std::optional<OnlineStrategy> online_strategy;
-  /// Delta-evaluate the cumulative verdict against each session's
-  /// persistent IncrementalContext (engine/incremental.h): repeat
-  /// disclosures and pinned monotone facts are served in O(1) and changed
-  /// sets re-derive only what the change touched, instead of re-running the
-  /// full cascade (plus verdict-cache hashing) per request. Verdicts,
-  /// details and sequence numbers are byte-identical to the recompute path
-  /// — the `service-composition` model check diffs the two at every step.
-  /// The per-disclosure verdict keeps using the VerdictCache either way.
-  /// Off restores the PR 3 recompute-every-request behavior (and the
-  /// cumulative_cached flag's verdict-cache meaning).
-  bool incremental_sessions = true;
   /// Test-only: invoked by a worker thread right before it starts deciding a
   /// request (after the deadline check). Lets tests hold a worker to fill
   /// the queue deterministically. Never set in production code.
@@ -121,8 +111,7 @@ struct AuditResponse {
   /// Safe(A, B1 ∩ ... ∩ Bk) for the user's accumulated knowledge after this
   /// disclosure — identical to the offline per-user cumulative finding.
   AuditFinding cumulative;
-  bool disclosure_cached = false;  ///< served from the verdict cache
-  bool cumulative_cached = false;
+  bool disclosure_cached = false;  ///< served from the disclosure memo
   std::uint64_t sequence = 0;  ///< 1-based per-user disclosure number
 };
 
@@ -190,10 +179,10 @@ class AuditService {
   std::vector<AuditResponse> process_many(std::vector<AuditRequest> requests);
 
   /// Swaps the scenario under the service: new universe / state / audit
-  /// query / prior. Sessions reset and the verdict cache is invalidated
-  /// (verdicts produced under the old engine configuration must not leak
-  /// into the new one). In-flight requests finish against the state they
-  /// started with.
+  /// query / prior. Sessions reset, and the new scenario starts with an
+  /// empty disclosure memo (the old one's verdicts go with the old
+  /// scenario). In-flight requests finish against the state they started
+  /// with.
   Status reload(RecordUniverse universe, World initial_state,
                 const std::string& audit_query_text, PriorAssumption prior);
 
@@ -222,7 +211,7 @@ class AuditService {
   /// Point-in-time view of every service metric (queue, cache, requests).
   obs::MetricsSnapshot metrics_snapshot() const;
 
-  /// The service's metrics registry (cache counters live here too).
+  /// The service's metrics registry (memo counters live here too).
   obs::MetricsRegistry& metrics() { return metrics_; }
 
  private:
@@ -230,7 +219,13 @@ class AuditService {
   /// in-flight requests keep a coherent view via shared_ptr.
   struct Scenario {
     Scenario(RecordUniverse u, World state, std::string query_text,
-             PriorAssumption p, const AuditorOptions& opts);
+             PriorAssumption p, const ServiceOptions& opts,
+             obs::MetricsRegistry& metrics);
+
+    /// The memo entry of (query text, answer): a key hit, else `parsed`
+    /// compiled and interned.
+    DisclosureMemo::EntryPtr disclosed(const std::string& query_text,
+                                       bool answer, const Query& parsed);
 
     RecordUniverse universe;
     InMemoryDatabase db;
@@ -239,11 +234,9 @@ class AuditService {
     Auditor auditor;
     WorldSet audit_set;  ///< the compiled sensitive property A
     std::uint64_t generation = 0;
-
-    /// Compiled disclosure sets keyed by (query text, answer) — the service
-    /// analogue of AuditContext::compiled, shared across requests.
-    std::mutex compiled_mutex;
-    std::unordered_map<std::string, WorldSet> compiled;
+    /// A and the prior are fixed here, so a verdict depends on the
+    /// disclosed set alone.
+    DisclosureMemo memo;
   };
 
   struct Pending {
@@ -257,7 +250,12 @@ class AuditService {
     std::int64_t enqueue_ns = 0;
   };
 
-  AuditService(std::shared_ptr<Scenario> scenario, ServiceOptions options);
+  explicit AuditService(ServiceOptions options);
+
+  /// Builds a scenario from the inputs and serves it under the next
+  /// generation number (try_create and reload).
+  Status install(RecordUniverse universe, World initial_state,
+                 const std::string& audit_query_text, PriorAssumption prior);
 
   /// Builds the Pending record resolved by `done` (deadline defaulting,
   /// enqueue timestamp) without touching the queue.
@@ -282,20 +280,6 @@ class AuditService {
   void worker_loop();
   AuditResponse handle(Pending& pending, const std::shared_ptr<Scenario>& scenario,
                        AuditContext& ctx);
-  /// Compiles the disclosed set for (query, answer), cached per scenario.
-  const WorldSet& compiled_disclosure(Scenario& scenario, const std::string& query_text,
-                                      bool answer, QueryPtr parsed);
-  /// Lookup-only variant: the already-compiled set for (query, answer), or
-  /// null. Lets replayed-log requests skip re-parsing query text the
-  /// scenario has compiled before (replay storms after a rebalance hit this
-  /// path hard); a miss falls back to the parse-then-compile path, so parse
-  /// errors surface exactly as before (malformed queries never enter the
-  /// cache).
-  const WorldSet* find_compiled(Scenario& scenario,
-                                const std::string& query_text, bool answer);
-  /// Cache-or-engine decision for Safe(A, b).
-  EngineDecision decide(const Scenario& scenario, const WorldSet& b,
-                        AuditContext& ctx, bool* cached);
   /// The session serving `user` under `scenario`. Workers hold the returned
   /// shared_ptr for the whole request, so reload() erasing the map entry
   /// never destroys a session out from under a worker. A
@@ -309,6 +293,7 @@ class AuditService {
   void configure_context(AuditContext& ctx, const Scenario& scenario) const;
 
   ServiceOptions options_;
+  obs::MetricsRegistry metrics_;  ///< outlives every scenario's memo
 
   mutable std::shared_mutex scenario_mutex_;
   std::shared_ptr<Scenario> scenario_;
@@ -316,9 +301,6 @@ class AuditService {
 
   std::mutex sessions_mutex_;
   std::unordered_map<std::string, std::shared_ptr<Session>> sessions_;
-
-  obs::MetricsRegistry metrics_;
-  std::unique_ptr<VerdictCache> cache_;  ///< null when cache_capacity == 0
 
   mutable std::mutex queue_mutex_;
   std::condition_variable queue_cv_;

@@ -625,7 +625,6 @@ WireResponse make_audit_response(std::uint64_t id,
     wire.cached = response.disclosure_cached;
     wire.cumulative_verdict = epi::to_string(response.cumulative.verdict);
     wire.cumulative_method = response.cumulative.method;
-    wire.cumulative_cached = response.cumulative_cached;
   }
   return wire;
 }

@@ -124,6 +124,8 @@ struct WireResponse {
   bool cached = false;
   std::string cumulative_verdict;
   std::string cumulative_method;
+  /// AuditService never serves a cumulative verdict from its memo, so it
+  /// sends false; the field stays for wire compatibility.
   bool cumulative_cached = false;
   std::uint64_t sequence = 0;
 

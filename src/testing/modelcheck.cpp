@@ -763,35 +763,76 @@ void check_service_composition(Rng& rng, const ModelCheckOptions& opt,
     }
   }
 
-  // --- Incremental vs full-recompute differential -------------------------
-  // Two services over the same scenario, one with per-session delta
-  // evaluation (the default) and one forced onto the PR 3
-  // recompute-every-request path, driven through a random interleaving of
-  // disclose / reset_session / replay ops. The contract is byte-identity at
-  // *every* step: verdicts, methods, certified flags, details and sequence
-  // numbers (cached flags excepted — the incremental path deliberately
-  // bypasses the cumulative verdict cache). The `replay` op mirrors a
-  // router rebalance: reset both sessions, then re-send the user's logged
-  // (query, answer) script, which must land both services back on
-  // byte-identical verdicts (Prop. 3.10 makes replay exact).
-  service::ServiceOptions recompute_options = service_options;
-  recompute_options.incremental_sessions = false;
-  std::unique_ptr<service::AuditService> inc_svc;
-  std::unique_ptr<service::AuditService> rec_svc;
-  if (!service::AuditService::try_create(universe, initial_state, audit_query,
-                                         prior, service_options, &inc_svc)
-           .ok() ||
-      !service::AuditService::try_create(universe, initial_state, audit_query,
-                                         prior, recompute_options, &rec_svc)
-           .ok()) {
-    out.push_back("AuditService::try_create rejected the differential pair; "
-                  "audit query \"" + audit_query + "\"");
-    return;
+  // --- Every step against from-scratch decisions ---------------------------
+  // The same service, its sessions reset (its memo stays warm), driven
+  // through a random interleaving of disclose / reset_session / replay ops.
+  // At every step the response must equal what DecisionEngine::decide
+  // computes from scratch, on a context prepared the way the service
+  // prepares its workers': the disclosure finding is Safe(A, B) for the
+  // disclosed set B, the cumulative finding is Safe(A, S_k) for the
+  // intersection S_k of the user's k disclosures since the last reset
+  // (Def. 3.9 / Prop. 3.10), and the sequence number is k. This holds the
+  // disclosure memo and the incremental session tiers to the cascade. The
+  // `replay` op mirrors a router rebalance: reset the session, then re-send
+  // the user's logged (query, answer) script, which must land on the same
+  // verdicts again.
+  for (const char* user : kUsers) svc->reset_session(user);
+  const DecisionEngine& engine = auditor.engine();
+  AuditContext reference_ctx;
+  reference_ctx.reset_stages(engine.stage_names());
+  if (prior == PriorAssumption::kSubcubeKnowledge) {
+    reference_ctx.set_interval_oracle(auditor.shared_subcube_oracle());
+    reference_ctx.prepare_subcube(audit_set);
   }
+  struct Knowledge {
+    WorldSet s;  ///< S_k
+    std::uint64_t k = 0;
+  };
+  std::unordered_map<std::string, Knowledge> knowledge;
 
-  // Every response field a client sees except the cache flags: the
-  // incremental path bypasses the cumulative verdict cache, and concurrent
-  // users race each other to fill the shared one.
+  auto check_step = [&](const char* op, std::size_t step,
+                        const service::AuditRequest& request,
+                        const service::AuditResponse& got) {
+    if (!got.status.ok()) {
+      out.push_back(std::string("service rejected a well-formed ") + op +
+                    " request: " + got.status.to_string() +
+                    "; audit query \"" + audit_query + "\"");
+      return;
+    }
+    WorldSet b = parse_query(request.query_text)->compile(universe);
+    if (!*request.answer) b = ~b;
+    Knowledge& user =
+        knowledge.try_emplace(request.user, Knowledge{WorldSet::universe(n)})
+            .first->second;
+    user.s &= b;
+    ++user.k;
+    const EngineDecision want_b = engine.decide(audit_set, b, reference_ctx);
+    const EngineDecision want_s =
+        engine.decide(audit_set, user.s, reference_ctx);
+    auto same = [](const AuditFinding& f, const EngineDecision& d) {
+      return f.verdict == d.verdict && f.method == d.method &&
+             f.certified == d.certified && f.detail == d.detail &&
+             f.numeric_gap == d.numeric_gap;
+    };
+    if (same(got.disclosure, want_b) && same(got.cumulative, want_s) &&
+        got.sequence == user.k) {
+      return;
+    }
+    std::ostringstream os;
+    os << op << " step " << step << " under " << to_string(prior)
+       << " diverges from from-scratch decisions: service=(disclosure "
+       << verdict_name(got.disclosure.verdict) << ", " << got.disclosure.method
+       << "; cum " << verdict_name(got.cumulative.verdict) << ", "
+       << got.cumulative.method << "; seq " << got.sequence
+       << ") reference=(disclosure " << verdict_name(want_b.verdict) << ", "
+       << want_b.method << "; cum " << verdict_name(want_s.verdict) << ", "
+       << want_s.method << "; seq " << user.k << "); audit query \""
+       << audit_query << "\"";
+    out.push_back(os.str());
+  };
+
+  // Every response field a client sees except the cache flag: concurrent
+  // users race each other to fill the shared memo.
   auto same_response = [](const service::AuditResponse& x,
                           const service::AuditResponse& y) {
     auto finding_equal = [](const AuditFinding& f, const AuditFinding& g) {
@@ -806,21 +847,6 @@ void check_service_composition(Rng& rng, const ModelCheckOptions& opt,
            finding_equal(x.cumulative, y.cumulative);
   };
 
-  auto diff_step = [&](const char* op, std::size_t step,
-                       const service::AuditResponse& inc,
-                       const service::AuditResponse& rec) {
-    if (same_response(inc, rec)) return;
-    std::ostringstream os;
-    os << "incremental/recompute divergence at " << op << " step " << step
-       << " under " << to_string(prior) << ": incremental=(cum "
-       << verdict_name(inc.cumulative.verdict) << ", " << inc.cumulative.method
-       << ", seq " << inc.sequence << ") recompute=(cum "
-       << verdict_name(rec.cumulative.verdict) << ", " << rec.cumulative.method
-       << ", seq " << rec.sequence << "); audit query \"" << audit_query
-       << "\"";
-    out.push_back(os.str());
-  };
-
   // Every op in the order it ran, for the concurrent replay below: an audit
   // with its sequential response, or a reset (`reset` set, request.user).
   struct StreamOp {
@@ -830,21 +856,17 @@ void check_service_composition(Rng& rng, const ModelCheckOptions& opt,
   };
   std::vector<StreamOp> stream;
 
-  auto send_both = [&](const char* op, std::size_t step,
-                       const service::AuditRequest& request) {
-    service::AuditRequest inc_request = request;
-    service::AuditRequest rec_request = request;
-    const service::AuditResponse inc_response =
-        inc_svc->process(std::move(inc_request));
-    const service::AuditResponse rec_response =
-        rec_svc->process(std::move(rec_request));
-    diff_step(op, step, inc_response, rec_response);
-    stream.push_back({false, request, inc_response});
-    return inc_response;
+  auto send = [&](const char* op, std::size_t step,
+                  const service::AuditRequest& request) {
+    service::AuditRequest copy = request;
+    const service::AuditResponse response = svc->process(std::move(copy));
+    check_step(op, step, request, response);
+    stream.push_back({false, request, response});
+    return response;
   };
-  auto reset_both = [&](const std::string& user) {
-    inc_svc->reset_session(user);
-    rec_svc->reset_session(user);
+  auto reset = [&](const std::string& user) {
+    svc->reset_session(user);
+    knowledge.erase(user);
     service::AuditRequest request;
     request.user = user;
     stream.push_back({true, std::move(request), {}});
@@ -858,44 +880,36 @@ void check_service_composition(Rng& rng, const ModelCheckOptions& opt,
     const std::uint64_t kind = rng.next_below(8);
     if (kind < 5) {
       // Disclose: replayed-log mode with a random recorded answer. Repeats
-      // of earlier queries are likely at this query size, exercising the
-      // unchanged-S fast path against recompute.
+      // of earlier queries are likely at this query size, exercising memo
+      // hits and the unchanged-S fast path.
       service::AuditRequest request;
       request.user = user;
       request.query_text = random_query_text(rng, names, 2);
       request.answer = rng.next_bool();
-      const service::AuditResponse response =
-          send_both("disclose", step, request);
+      const service::AuditResponse response = send("disclose", step, request);
       if (response.status.ok()) {
         scripts[user].emplace_back(request.query_text, *request.answer);
       }
     } else if (kind < 6) {
-      // Reset: both sessions forget; incremental state must die with them.
-      reset_both(user);
+      // Reset: the session forgets; incremental state must die with it.
+      reset(user);
       scripts[user].clear();
     } else {
       // Replay: a rebalance in miniature — reset, then re-send the script.
-      reset_both(user);
-      const auto script = scripts[user];  // copy: send_both appends nothing
+      reset(user);
+      const auto script = scripts[user];  // copy: send appends nothing
       for (std::size_t k = 0; k < script.size(); ++k) {
         service::AuditRequest request;
         request.user = user;
         request.query_text = script[k].first;
         request.answer = script[k].second;
-        const service::AuditResponse response =
-            send_both("replay", step * 100 + k, request);
-        if (response.sequence != k + 1) {
-          out.push_back("replayed sequence numbers restarted wrong: got " +
-                        std::to_string(response.sequence) + " want " +
-                        std::to_string(k + 1) + "; audit query \"" +
-                        audit_query + "\"");
-        }
+        send("replay", step * 100 + k, request);
       }
     }
   }
 
   // Endgame: every user's cumulative verdict must equal a direct decision
-  // of their surviving script's intersection (Prop. 3.10), on both axes.
+  // of their surviving script's intersection (Prop. 3.10).
   for (const char* user : kUsers) {
     const auto it = scripts.find(user);
     if (it == scripts.end() || it->second.empty()) continue;
@@ -909,9 +923,9 @@ void check_service_composition(Rng& rng, const ModelCheckOptions& opt,
     probe.user = user;
     probe.query_text = it->second.back().first;
     probe.answer = it->second.back().second;
-    const service::AuditResponse last = send_both("endgame", 0, probe);
+    const service::AuditResponse last = send("endgame", 0, probe);
     if (last.status.ok() && direct.verdict != last.cumulative.verdict) {
-      out.push_back(std::string("incremental cumulative verdict for ") + user +
+      out.push_back(std::string("cumulative verdict for ") + user +
                     " differs from the direct Prop. 3.10 decision; audit "
                     "query \"" + audit_query + "\"");
     }

@@ -16,7 +16,7 @@ std::size_t hash(const Word* w, std::size_t nw, Word seed) {
   // differences spread over the whole 64-bit output. Plain FNV-1a (the
   // scheme both set types used before the kernel existed) left sparse sets
   // clustered in the low bits, which hash-keyed tables — the audit's
-  // per-set dedupe and the service verdict cache — cannot afford.
+  // per-set dedupe and the service's disclosure memo — cannot afford.
   Word h = 0xcbf29ce484222325ull ^ seed;
   for (std::size_t i = 0; i < nw; ++i) {
     h = (h ^ mix64(w[i] ^ static_cast<Word>(i))) * 0x100000001b3ull;

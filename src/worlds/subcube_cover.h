@@ -18,7 +18,7 @@
 // representation-independent signature (exact model count + membership on a
 // fixed pseudo-random probe panel). Hash collisions are therefore possible
 // but harmless: every table keyed by the hash (the Auditor's per-set dedupe,
-// VerdictCache) verifies equality on hit.
+// the service's disclosure memo) verifies equality on hit.
 #pragma once
 
 #include <atomic>

@@ -26,8 +26,9 @@
 // Backend-visible differences, by design:
 //   * hash() of a dense set and of its symbolized copy differ (the symbolic
 //     hash is a semantic probe signature, the dense one a word hash). Every
-//     consumer (the Auditor's per-set dedupe, service VerdictCache) verifies
-//     equality on hit, so keying either representation stays correct.
+//     consumer (the Auditor's per-set dedupe, the service's disclosure memo)
+//     verifies equality on hit, so keying either representation stays
+//     correct.
 //   * visit()/to_vector()/setwise_meet()/setwise_join()/masked_weight_sum()
 //     are inherently dense (they walk 2^n worlds or need per-world weights)
 //     and throw std::logic_error / std::invalid_argument on symbolic sets.
@@ -150,9 +151,9 @@ class WorldSet {
   /// the bit words (and n) via the shared kernel. Symbolic: a semantic probe
   /// signature (equal covers hash equal even when syntactically different,
   /// but dense and symbolic hashes of the same set differ). Keys the
-  /// Auditor's per-set dedupe and the service verdict cache — both verify
-  /// equality on hit, so cross-representation collisions/misses only cost
-  /// speed.
+  /// Auditor's per-set dedupe and the service's disclosure memo — both
+  /// verify equality on hit, so cross-representation collisions/misses only
+  /// cost speed.
   std::size_t hash() const {
     return cover_ ? symbolic_hash()
                   : bits::hash(bits_.data(), bits_.size(), bits::Word{n_} << 32);
@@ -245,6 +246,17 @@ class WorldSet {
 /// Hash functor for unordered containers keyed by WorldSet.
 struct WorldSetHash {
   std::size_t operator()(const WorldSet& s) const { return s.hash(); }
+};
+
+/// Key a container by the set a pointer points to, so it copies no set: the
+/// offline batch dedupe and the service's disclosure memo.
+struct PointeeHash {
+  std::size_t operator()(const WorldSet* s) const { return s->hash(); }
+};
+struct PointeeEqual {
+  bool operator()(const WorldSet* x, const WorldSet* y) const {
+    return *x == *y;
+  }
 };
 
 // --- Fused predicates -------------------------------------------------------

@@ -1,12 +1,14 @@
 // Tests for the concurrent audit service (src/service/): Prop. 3.10 parity
-// between streamed sessions and the offline auditor, verdict-cache safety
-// (collisions, invalidation, LRU), admission control and backpressure,
-// deadlines and cancellation, graceful shutdown, and the wire protocol.
+// between streamed sessions and the offline auditor, the disclosure memo
+// (two keys one set, the bound, LRU eviction, reload), admission control and
+// backpressure, deadlines and cancellation, graceful shutdown, and the wire
+// protocol.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <future>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -14,14 +16,15 @@
 
 #include "core/audit_log.h"
 #include "core/auditor.h"
+#include "db/parser.h"
 #include "engine/criterion_stage.h"
+#include "engine/decision_engine.h"
 #include "obs/metrics.h"
 #include "service/audit_service.h"
+#include "service/disclosure_memo.h"
 #include "service/protocol.h"
 #include "service/session.h"
-#include "service/verdict_cache.h"
 #include "util/status.h"
-#include "worlds/dense_bits.h"
 #include "worlds/world_set.h"
 
 namespace epi {
@@ -259,13 +262,13 @@ TEST(Service, ReloadResetsSessionsAndInvalidatesCache) {
                                    "bob_hiv", PriorAssumption::kProduct);
   ASSERT_TRUE(s.ok()) << s.to_string();
 
-  // Fresh session (sequence restarts) and cold cache (engine re-decides).
+  // Fresh session (sequence restarts) and an empty memo (the engine
+  // re-decides): the old scenario's memo went with it.
   AuditResponse after = service->process(request);
   ASSERT_TRUE(after.status.ok());
   EXPECT_EQ(after.sequence, 1u);
   EXPECT_FALSE(after.disclosure_cached);
   const obs::MetricsSnapshot metrics = service->metrics_snapshot();
-  EXPECT_EQ(metrics.counter("service.cache.invalidations"), 1);
   EXPECT_EQ(metrics.counter("service.reloads"), 1);
 
   EXPECT_EQ(service
@@ -452,37 +455,58 @@ TEST(Service, ResetSessionTakesEffectAfterAdmittedRequests) {
 
 // --- Incremental session evaluation (DESIGN.md section 11) ----------------
 
-// The on/off contract: with incremental_sessions disabled the service
-// recomputes every cumulative verdict through the verdict cache; enabled, it
-// delta-evaluates per-session state. Every response field the client can see
-// must be byte-identical either way (cumulative_cached is the documented
-// exception: the incremental path bypasses the cache).
-TEST(ServiceIncremental, DisabledPathMatchesEnabledPath) {
+void expect_decided(const AuditFinding& got, const EngineDecision& want) {
+  EXPECT_EQ(got.verdict, want.verdict);
+  EXPECT_EQ(got.method, want.method);
+  EXPECT_EQ(got.certified, want.certified);
+  EXPECT_EQ(got.detail, want.detail);
+  EXPECT_EQ(got.numeric_gap, want.numeric_gap);
+}
+
+// Every response against from-scratch engine decisions on a context
+// prepared the way the service prepares its workers': the disclosure finding
+// is Safe(A, B), the cumulative one Safe(A, S_k) for the intersection S_k of
+// the user's first k disclosures, and the sequence number is k.
+TEST(ServiceIncremental, ResponsesMatchFromScratchDecisions) {
+  const RecordUniverse universe = hospital_universe();
   for (const PriorAssumption prior :
        {PriorAssumption::kUnrestricted, PriorAssumption::kProduct,
         PriorAssumption::kSubcubeKnowledge}) {
-    std::unique_ptr<AuditService> incremental =
+    SCOPED_TRACE(::testing::Message() << "prior " << to_string(prior));
+    std::unique_ptr<AuditService> service =
         make_service(small_service_options(), prior);
-    ServiceOptions recompute_options = small_service_options();
-    recompute_options.incremental_sessions = false;
-    std::unique_ptr<AuditService> recompute =
-        make_service(std::move(recompute_options), prior);
-    ASSERT_NE(incremental, nullptr);
-    ASSERT_NE(recompute, nullptr);
+    ASSERT_NE(service, nullptr);
 
+    AuditorOptions options;
+    options.threads = 1;
+    const Auditor auditor(universe, prior, options);
+    const DecisionEngine& engine = auditor.engine();
+    const WorldSet a = parse_query("bob_hiv")->compile(universe);
+    AuditContext ctx;
+    ctx.reset_stages(engine.stage_names());
+    if (prior == PriorAssumption::kSubcubeKnowledge) {
+      ctx.set_interval_oracle(auditor.shared_subcube_oracle());
+      ctx.prepare_subcube(a);
+    }
+
+    std::map<std::string, std::pair<WorldSet, std::uint64_t>> knowledge;
     for (const Replay& r : replay_log()) {
       AuditRequest request;
       request.user = r.user;
       request.query_text = r.query;
       request.answer = r.answer;
-      AuditRequest copy = request;
-      const AuditResponse got = incremental->process(std::move(request));
-      const AuditResponse want = recompute->process(std::move(copy));
-      ASSERT_EQ(got.status.code(), want.status.code());
-      EXPECT_EQ(got.sequence, want.sequence);
-      EXPECT_EQ(got.denied, want.denied);
-      expect_same_finding(got.disclosure, want.disclosure);
-      expect_same_finding(got.cumulative, want.cumulative);
+      const AuditResponse got = service->process(std::move(request));
+      ASSERT_TRUE(got.status.ok()) << got.status.to_string();
+
+      const WorldSet satisfying = parse_query(r.query)->compile(universe);
+      const WorldSet b = r.answer ? satisfying : ~satisfying;
+      auto& [s, k] =
+          knowledge.try_emplace(r.user, WorldSet::universe(3), 0).first->second;
+      s &= b;
+      ++k;
+      expect_decided(got.disclosure, engine.decide(a, b, ctx));
+      expect_decided(got.cumulative, engine.decide(a, s, ctx));
+      EXPECT_EQ(got.sequence, k);
     }
   }
 }
@@ -856,7 +880,7 @@ TEST(SessionTest, AbsorbIntersectsAndCounts) {
   EXPECT_EQ(session.accumulated(), WorldSet(2, {3}));
 }
 
-// --- Verdict cache --------------------------------------------------------
+// --- Disclosure memo ------------------------------------------------------
 
 EngineDecision safe_decision(const std::string& method) {
   EngineDecision d;
@@ -866,134 +890,108 @@ EngineDecision safe_decision(const std::string& method) {
   return d;
 }
 
-TEST(VerdictCacheTest, ForgedKeyCollisionIsDetectedNotServed) {
-  obs::MetricsRegistry metrics;
-  VerdictCache cache({/*capacity=*/8, /*shards=*/1}, metrics);
-  const WorldSet a(3, {1});
-  const WorldSet b(3, {1, 2});
-  const WorldSet other(3, {5});
-
-  const VerdictKey key = VerdictCache::key_for(a, b, PriorAssumption::kProduct);
-  cache.insert(key, a, b, safe_decision("theorem-3.11"));
-
-  // A forged request carrying the same key triple but different sets is a
-  // hash collision: the cache must refuse to serve the stored verdict.
-  EXPECT_FALSE(cache.lookup(key, a, other).has_value());
-  EXPECT_EQ(metrics.snapshot().counter("service.cache.collisions"), 1);
-
-  const std::optional<EngineDecision> hit = cache.lookup(key, a, b);
-  ASSERT_TRUE(hit.has_value());
-  EXPECT_EQ(hit->method, "theorem-3.11");
-  EXPECT_EQ(hit->verdict, Verdict::kSafe);
-
-  cache.invalidate_all();
-  EXPECT_FALSE(cache.lookup(key, a, b).has_value());
-  EXPECT_EQ(cache.size(), 0u);
-  EXPECT_EQ(metrics.snapshot().counter("service.cache.invalidations"), 1);
-}
-
 TEST(VerdictCacheTest, EvictsLeastRecentlyUsed) {
   obs::MetricsRegistry metrics;
-  VerdictCache cache({/*capacity=*/2, /*shards=*/1}, metrics);
-  const WorldSet a(3, {1});
-  std::vector<WorldSet> bs = {WorldSet(3, {0}), WorldSet(3, {2}),
-                              WorldSet(3, {4})};
-  std::vector<VerdictKey> keys;
-  for (const WorldSet& b : bs) {
-    keys.push_back(VerdictCache::key_for(a, b, PriorAssumption::kProduct));
-  }
-  cache.insert(keys[0], a, bs[0], safe_decision("m0"));
-  cache.insert(keys[1], a, bs[1], safe_decision("m1"));
-  // Touch key 0 so key 1 is the LRU victim when key 2 arrives.
-  EXPECT_TRUE(cache.lookup(keys[0], a, bs[0]).has_value());
-  cache.insert(keys[2], a, bs[2], safe_decision("m2"));
+  DisclosureMemo memo(/*capacity=*/2, metrics);
+  auto decide_m1 = [](const WorldSet&) { return safe_decision("m1"); };
+  bool cached = true;
 
-  EXPECT_EQ(cache.size(), 2u);
-  EXPECT_TRUE(cache.lookup(keys[0], a, bs[0]).has_value());
-  EXPECT_FALSE(cache.lookup(keys[1], a, bs[1]).has_value());
-  EXPECT_TRUE(cache.lookup(keys[2], a, bs[2]).has_value());
+  const DisclosureMemo::EntryPtr b0 = memo.intern("b0", WorldSet(3, {0}));
+  const DisclosureMemo::EntryPtr b1 = memo.intern("b1", WorldSet(3, {2}));
+  // A second key compiling to b1's set joins its entry.
+  EXPECT_EQ(memo.intern("b1'", WorldSet(3, {2})), b1);
+  memo.decision(*b1, decide_m1, &cached);
+  EXPECT_FALSE(cached);
+  // Touch b0 so b1 is the LRU victim when b2 arrives.
+  EXPECT_EQ(memo.find("b0"), b0);
+  memo.intern("b2", WorldSet(3, {4}));
+
+  EXPECT_EQ(memo.size(), 2u);
+  EXPECT_EQ(memo.find("b0"), b0);
+  EXPECT_NE(memo.find("b2"), nullptr);
+  // The eviction dropped both of b1's keys...
+  EXPECT_EQ(memo.find("b1"), nullptr);
+  EXPECT_EQ(memo.find("b1'"), nullptr);
   EXPECT_EQ(metrics.snapshot().counter("service.cache.evictions"), 1);
+  // ...while a worker still holding b1 keeps its set and decision.
+  EXPECT_EQ(b1->set, WorldSet(3, {2}));
+  EXPECT_EQ(memo.decision(*b1, decide_m1, &cached).method, "m1");
+  EXPECT_TRUE(cached);
+  EXPECT_NE(memo.intern("b1", WorldSet(3, {2})), b1);
+
+  // Capacity 0 keeps nothing.
+  DisclosureMemo none(/*capacity=*/0, metrics);
+  EXPECT_NE(none.intern("b0", WorldSet(3, {0})), nullptr);
+  EXPECT_EQ(none.find("b0"), nullptr);
+  EXPECT_EQ(none.size(), 0u);
 }
 
-TEST(VerdictCacheTest, DistinctPriorsDoNotShareEntries) {
-  obs::MetricsRegistry metrics;
-  VerdictCache cache({/*capacity=*/8, /*shards=*/2}, metrics);
-  const WorldSet a(3, {1});
-  const WorldSet b(3, {1, 2});
-  cache.insert(VerdictCache::key_for(a, b, PriorAssumption::kUnrestricted), a,
-               b, safe_decision("unrestricted"));
-  EXPECT_FALSE(
-      cache.lookup(VerdictCache::key_for(a, b, PriorAssumption::kProduct), a, b)
-          .has_value());
+// `bob_hiv` answered no and `!bob_hiv` answered yes disclose one set: the
+// second key joins the first's memo entry and is served its verdict.
+TEST(Service, KeysOfOneSetShareOneVerdict) {
+  std::unique_ptr<AuditService> service = make_service();
+  ASSERT_NE(service, nullptr);
+  AuditRequest no;
+  no.user = "alice";
+  no.query_text = "bob_hiv";
+  no.answer = false;
+  const AuditResponse first = service->process(no);
+  ASSERT_TRUE(first.status.ok()) << first.status.to_string();
+  EXPECT_FALSE(first.disclosure_cached);
+
+  AuditRequest yes;
+  yes.user = "alice";
+  yes.query_text = "!bob_hiv";
+  yes.answer = true;
+  const AuditResponse second = service->process(yes);
+  ASSERT_TRUE(second.status.ok()) << second.status.to_string();
+  EXPECT_TRUE(second.disclosure_cached);
+  EXPECT_EQ(second.disclosure.verdict, first.disclosure.verdict);
+  EXPECT_EQ(second.disclosure.method, first.disclosure.method);
+  EXPECT_EQ(second.disclosure.detail, first.disclosure.detail);
+  EXPECT_EQ(service->metrics_snapshot().counter("service.cache.misses"), 1);
 }
 
-// Mirrors VerdictCache::KeyHash so the test can steer keys into a chosen
-// shard of an 8-shard cache.
-std::size_t shard_index(const VerdictKey& key, unsigned shards) {
-  return static_cast<std::size_t>(bits::hash_combine(
-             bits::hash_combine(key.a_hash, key.b_hash),
-             static_cast<std::uint64_t>(key.prior))) %
-         shards;
-}
+// The memo holds cache_capacity distinct sets: six distinct disclosures
+// through a capacity of 4 evict two, and an evicted disclosure is decided
+// afresh to the same finding.
+TEST(Service, MemoHoldsAtMostCacheCapacitySets) {
+  ServiceOptions options = small_service_options();
+  options.cache_capacity = 4;
+  std::unique_ptr<AuditService> service = make_service(std::move(options));
+  ASSERT_NE(service, nullptr);
 
-TEST(VerdictCacheTest, SameShardSlotCollisionIsCountedNeverServed) {
-  constexpr unsigned kShards = 8;
-  obs::MetricsRegistry metrics;
-  VerdictCache cache({/*capacity=*/32, /*shards=*/kShards}, metrics);
-
-  // Search real (A, B) pairs until two DISTINCT key triples land in the
-  // same shard (pigeonhole: at most kShards+1 of the 16 candidate B's).
-  const WorldSet a(3, {1, 2});
-  std::vector<std::pair<VerdictKey, WorldSet>> probes;
-  std::optional<std::pair<std::size_t, std::size_t>> same_shard;
-  for (World w = 0; w < 16 && !same_shard; ++w) {
-    const WorldSet b = w < 8 ? WorldSet(3, {w})
-                             : WorldSet(3, {static_cast<World>(w - 8),
-                                            static_cast<World>((w - 7) % 8)});
-    const VerdictKey key = VerdictCache::key_for(a, b, PriorAssumption::kProduct);
-    for (std::size_t j = 0; j < probes.size(); ++j) {
-      if (shard_index(probes[j].first, kShards) == shard_index(key, kShards)) {
-        same_shard = {j, probes.size()};
-        break;
-      }
-    }
-    probes.emplace_back(key, b);
+  const std::vector<std::string> queries = {
+      "bob_hiv",
+      "bob_transfusion",
+      "bob_hepatitis",
+      "bob_hiv & bob_transfusion",
+      "bob_hiv | bob_hepatitis",
+      "bob_transfusion & bob_hepatitis"};
+  std::vector<AuditResponse> responses;
+  for (const std::string& query : queries) {
+    AuditRequest request;
+    request.user = "alice";
+    request.query_text = query;
+    request.answer = true;
+    responses.push_back(service->process(std::move(request)));
+    ASSERT_TRUE(responses.back().status.ok());
+    EXPECT_FALSE(responses.back().disclosure_cached);
   }
-  ASSERT_TRUE(same_shard.has_value()) << "no shard pair among 16 probes";
-  const auto& [k1, b1] = probes[same_shard->first];
-  const auto& [k2, b2] = probes[same_shard->second];
-  ASSERT_FALSE(k1 == k2);
+  EXPECT_EQ(service->metrics_snapshot().counter("service.cache.evictions"), 2);
 
-  // Distinct keys in one shard are independent slots: both hit, no
-  // collision is counted.
-  cache.insert(k1, a, b1, safe_decision("slot-1"));
-  cache.insert(k2, a, b2, safe_decision("slot-2"));
-  EXPECT_EQ(cache.lookup(k1, a, b1)->method, "slot-1");
-  EXPECT_EQ(cache.lookup(k2, a, b2)->method, "slot-2");
-  EXPECT_EQ(metrics.snapshot().counter("service.cache.collisions"), 0);
-
-  // Now force a true hash collision INSIDE that slot: the pair (a, b2)
-  // arriving under k1's key triple (as a full 128-bit WorldSet::hash
-  // collision would). The lookup must degrade to a counted miss — slot-1's
-  // verdict is never served for (a, b2).
-  EXPECT_FALSE(cache.lookup(k1, a, b2).has_value());
-  EXPECT_EQ(metrics.snapshot().counter("service.cache.collisions"), 1);
-
-  // The collision-overwrite path: the newest verdict wins the slot, after
-  // which the ORIGINAL pair misses with another counted collision rather
-  // than receiving slot-1b's verdict.
-  EngineDecision d = safe_decision("slot-1b");
-  d.verdict = Verdict::kUnsafe;
-  cache.insert(k1, a, b2, d);
-  const std::optional<EngineDecision> refreshed = cache.lookup(k1, a, b2);
-  ASSERT_TRUE(refreshed.has_value());
-  EXPECT_EQ(refreshed->method, "slot-1b");
-  EXPECT_EQ(refreshed->verdict, Verdict::kUnsafe);
-  EXPECT_FALSE(cache.lookup(k1, a, b1).has_value());
-  EXPECT_EQ(metrics.snapshot().counter("service.cache.collisions"), 2);
-
-  // The neighbouring slot in the same shard was never disturbed.
-  EXPECT_EQ(cache.lookup(k2, a, b2)->method, "slot-2");
+  AuditRequest first;
+  first.user = "alice";
+  first.query_text = queries[0];
+  first.answer = true;
+  const AuditResponse again = service->process(std::move(first));
+  ASSERT_TRUE(again.status.ok());
+  EXPECT_FALSE(again.disclosure_cached);
+  expect_same_finding(again.disclosure, responses[0].disclosure);
+  EXPECT_EQ(again.disclosure.numeric_gap, responses[0].disclosure.numeric_gap);
+  const obs::MetricsSnapshot metrics = service->metrics_snapshot();
+  EXPECT_EQ(metrics.counter("service.cache.misses"), 7);
+  EXPECT_EQ(metrics.counter("service.cache.evictions"), 3);
 }
 
 // --- Wire protocol --------------------------------------------------------

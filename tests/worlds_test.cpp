@@ -166,8 +166,8 @@ TEST(WorldSet, ToStringRoundTrip) {
 
 TEST(WorldSetHash, AllSubsetsOfSmallUniverseDistinct) {
   // Exhaustive: every one of the 256 subsets of {0,1}^3 hashes differently.
-  // The verdict cache keys entries by (hash(A), hash(B), prior), so any
-  // equal-hash pair of distinct sets is a potential cross-pair collision.
+  // The batch dedupe and the service's disclosure memo key sets by hash, so
+  // any equal-hash pair of distinct sets costs an equality check.
   std::map<std::size_t, WorldSet> seen;
   for (World mask = 0; mask < 256; ++mask) {
     WorldSet s(3);
