@@ -34,6 +34,7 @@
 // repo root is the checked-in baseline the CI perf gate diffs
 // (tools/bench_compare.py).
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <memory>
@@ -137,12 +138,14 @@ Scenario make_subcube_scenario() {
   AuditContext ctx;
   ctx.set_interval_oracle(sc.oracle);
   ctx.prepare_subcube(sc.a);
-  const auto prep = ctx.shared_prepared_for(sc.a);
+  const auto& prep = ctx.prepared_for(sc.a);
   WorldSet prot = WorldSet::empty(sc.n);
   to_finite(sc.a).visit([&](std::size_t w1) {
-    for (const FiniteSet& cls : prep->classes(w1)) {
-      if (cls.count() <= 2) {
-        cls.visit([&](std::size_t e) { prot.insert(static_cast<World>(e)); });
+    const auto [first, last] = prep->class_range(w1);
+    for (std::uint32_t c = first; c < last; ++c) {
+      const auto cls = prep->class_worlds(c);
+      if (cls.size() <= 2) {
+        for (const std::uint32_t e : cls) prot.insert(static_cast<World>(e));
       }
     }
   });

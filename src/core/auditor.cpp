@@ -262,7 +262,7 @@ AuditReport Auditor::audit_one(const AuditLog& log,
     ctx.set_interval_oracle(subcube_oracle_);
     // Precompute the Delta classes for A once and reuse them for every
     // disclosure (the Prop. 4.1 amortization, experiment E7 measures
-    // 30-200x).
+    // 87-897x).
     ctx.prepare_subcube(a);
   }
 

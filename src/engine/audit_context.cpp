@@ -33,15 +33,10 @@ void AuditContext::prepare_subcube(const WorldSet& a) {
       oracle_->prepare(to_finite(a)));
 }
 
-const IntervalOracle::PreparedAudit* AuditContext::prepared_for(
-    const WorldSet& a) const {
-  if (!prepared_ || !prepared_a_ || *prepared_a_ != a) return nullptr;
-  return prepared_.get();
-}
-
-std::shared_ptr<const IntervalOracle::PreparedAudit>
-AuditContext::shared_prepared_for(const WorldSet& a) const {
-  if (!prepared_ || !prepared_a_ || *prepared_a_ != a) return nullptr;
+const std::shared_ptr<const IntervalOracle::PreparedAudit>&
+AuditContext::prepared_for(const WorldSet& a) const {
+  static const std::shared_ptr<const IntervalOracle::PreparedAudit> none;
+  if (!prepared_ || !prepared_a_ || *prepared_a_ != a) return none;
   return prepared_;
 }
 

@@ -52,13 +52,12 @@ class AuditContext {
   /// Precomputes the Delta classes for audit query A (Prop. 4.1
   /// amortization); requires an oracle.
   void prepare_subcube(const WorldSet& a);
-  /// The prepared structure when one was built for exactly this A.
-  const IntervalOracle::PreparedAudit* prepared_for(const WorldSet& a) const;
-  /// Owning variant of prepared_for, for state that must outlive this
-  /// context (per-session incremental stage state survives worker-context
-  /// rebuilds; see engine/incremental.h). Null on mismatch, like
-  /// prepared_for.
-  std::shared_ptr<const IntervalOracle::PreparedAudit> shared_prepared_for(
+  /// The prepared structure when one was built for exactly this A, else
+  /// null; the reference lives until the next prepare_subcube. Owning, so
+  /// state that must outlive this context (per-session incremental stage
+  /// state survives worker-context rebuilds; see engine/incremental.h) can
+  /// copy it.
+  const std::shared_ptr<const IntervalOracle::PreparedAudit>& prepared_for(
       const WorldSet& a) const;
 
   // --- Per-stage counters --------------------------------------------------

@@ -13,7 +13,9 @@
 //     machinery) can update it in O(|S − S'|) instead of rebuilding.
 //
 // One IncrementalContext lives in each service Session and is mutated only
-// under that session's mutex — no internal locking. The hard contract,
+// under that session's mutex — no internal locking. It is never cleared in
+// place: reset, reload and replay drop the whole Session, and this state
+// with it. The hard contract,
 // checked by the `service-composition` model check: every decision served
 // from or through this state is byte-identical (verdict, method, certified,
 // detail) to a from-scratch DecisionEngine::decide of the same (A, S).
@@ -63,13 +65,6 @@ struct IncrementalContext {
   std::uint64_t served_pinned = 0;
   std::uint64_t served_unchanged = 0;
   std::uint64_t evaluations = 0;
-
-  /// Drops everything: decisions, pins and per-stage states. Required
-  /// whenever S can grow again or the scenario changes under the session
-  /// (the service instead drops whole sessions on reset/reload, which
-  /// subsumes this; replay into a fresh session starts from a fresh
-  /// context).
-  void invalidate();
 };
 
 }  // namespace epi

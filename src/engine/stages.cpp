@@ -150,7 +150,7 @@ class SubcubeIntervalStage : public CriterionStage {
     StageDecision d;
     d.certified = true;
     bool safe;
-    if (const IntervalOracle::PreparedAudit* prepared = ctx.prepared_for(a)) {
+    if (const auto& prepared = ctx.prepared_for(a)) {
       safe = prepared->safe(to_finite(b));
       d.method = "subcube-intervals(prepared)";
     } else {
@@ -179,10 +179,9 @@ class SubcubeIntervalStage : public CriterionStage {
 
   std::unique_ptr<StageIncrementalState> make_incremental_state(
       const WorldSet& a, const WorldSet&, AuditContext& ctx) const override {
-    std::shared_ptr<const IntervalOracle::PreparedAudit> prepared =
-        ctx.shared_prepared_for(a);
+    const auto& prepared = ctx.prepared_for(a);
     if (!prepared) return nullptr;
-    return std::make_unique<State>(std::move(prepared));
+    return std::make_unique<State>(prepared);
   }
 
   StageDecision decide_delta(const WorldSet&, const WorldSet& b,

@@ -1,5 +1,7 @@
 #include "possibilistic/intervals.h"
 
+#include <algorithm>
+#include <bit>
 #include <stdexcept>
 
 #include "obs/metrics.h"
@@ -21,6 +23,14 @@ obs::Counter& interval_cache_hits() {
   static obs::Counter& counter =
       obs::process_metrics().counter("oracle.interval.cache_hits");
   return counter;
+}
+
+const IntervalOracle::PreparedAudit& non_null(
+    const std::shared_ptr<const IntervalOracle::PreparedAudit>& prepared) {
+  if (!prepared) {
+    throw std::invalid_argument("IncrementalSafe: null prepared audit");
+  }
+  return *prepared;
 }
 
 }  // namespace
@@ -81,22 +91,43 @@ std::vector<FiniteSet> IntervalOracle::minimal_intervals(std::size_t w1,
   return result;
 }
 
-std::vector<FiniteSet> IntervalOracle::delta_partition(const FiniteSet& x,
-                                                       std::size_t w1) const {
-  std::vector<FiniteSet> classes;
+void IntervalOracle::append_delta_classes(
+    const FiniteSet& x, std::size_t w1, std::vector<std::uint32_t>& worlds,
+    std::vector<std::uint32_t>& offsets) const {
   // Condition (14): without w1 in C no pair (w1, S) is in K, so no interval
   // starts at w1.
-  if (!c_.contains(w1)) return classes;
+  if (!c_.contains(w1)) return;
+  auto close_class = [&] {
+    offsets.push_back(static_cast<std::uint32_t>(worlds.size()));
+  };
   if (std::optional<std::vector<std::size_t>> singletons =
           sigma_->tight_delta_classes(w1, x)) {
-    classes.reserve(singletons->size());
     for (const std::size_t w2 : *singletons) {
-      classes.push_back(FiniteSet::singleton(x.universe_size(), w2));
+      worlds.push_back(static_cast<std::uint32_t>(w2));
+      close_class();
     }
-    return classes;
+    return;
   }
   for (const FiniteSet& iv : minimal_intervals(w1, x)) {
-    classes.push_back(iv & x);
+    visit_intersection(iv, x, [&](std::size_t w2) {
+      worlds.push_back(static_cast<std::uint32_t>(w2));
+    });
+    close_class();
+  }
+}
+
+std::vector<FiniteSet> IntervalOracle::delta_partition(const FiniteSet& x,
+                                                       std::size_t w1) const {
+  std::vector<std::uint32_t> worlds;
+  std::vector<std::uint32_t> offsets{0};
+  append_delta_classes(x, w1, worlds, offsets);
+  std::vector<FiniteSet> classes;
+  classes.reserve(offsets.size() - 1);
+  for (std::size_t k = 0; k + 1 < offsets.size(); ++k) {
+    FiniteSet& cls = classes.emplace_back(x.universe_size());
+    for (std::uint32_t i = offsets[k]; i < offsets[k + 1]; ++i) {
+      cls.insert(worlds[i]);
+    }
   }
   return classes;
 }
@@ -171,13 +202,41 @@ std::optional<std::vector<FiniteSet>> IntervalOracle::beta(const FiniteSet& a) c
 
 IntervalOracle::PreparedAudit IntervalOracle::prepare(const FiniteSet& a) const {
   obs::ScopedSpan span("oracle.prepare");
-  PreparedAudit audit(a);
   const std::size_t m = c_.universe_size();
+  if (a.universe_size() != m) {
+    throw std::invalid_argument("IntervalOracle::prepare: mismatched universes");
+  }
+  PreparedAudit audit(a);
   const FiniteSet outside_a = ~a;
-  audit.classes_.assign(m, {});
-  a.visit([&](std::size_t w1) {
-    audit.classes_[w1] = delta_partition(outside_a, w1);
-  });
+  audit.world_offsets_.assign(m + 1, 0);
+  audit.class_offsets_.assign(1, 0);
+  for (std::size_t w1 = 0; w1 < m; ++w1) {
+    if (a.contains(w1)) {
+      append_delta_classes(outside_a, w1, audit.class_worlds_,
+                           audit.class_offsets_);
+      audit.class_owners_.resize(audit.class_offsets_.size() - 1,
+                                 static_cast<std::uint32_t>(w1));
+    }
+    audit.world_offsets_[w1 + 1] =
+        static_cast<std::uint32_t>(audit.class_owners_.size());
+  }
+  // The inverted index by counting sort: per world, the classes holding it,
+  // in ascending class id.
+  audit.containing_offsets_.assign(m + 1, 0);
+  for (const std::uint32_t e : audit.class_worlds_) {
+    ++audit.containing_offsets_[e + 1];
+  }
+  for (std::size_t e = 0; e < m; ++e) {
+    audit.containing_offsets_[e + 1] += audit.containing_offsets_[e];
+  }
+  audit.containing_.resize(audit.class_worlds_.size());
+  std::vector<std::uint32_t> next(audit.containing_offsets_.begin(),
+                                  audit.containing_offsets_.end() - 1);
+  for (std::uint32_t c = 0; c < audit.class_count(); ++c) {
+    for (const std::uint32_t e : audit.class_worlds(c)) {
+      audit.containing_[next[e]++] = c;
+    }
+  }
   if (span.live()) {
     span.attr("classes", std::to_string(audit.class_count()));
   }
@@ -186,97 +245,81 @@ IntervalOracle::PreparedAudit IntervalOracle::prepare(const FiniteSet& a) const 
 
 bool IntervalOracle::PreparedAudit::safe(const FiniteSet& b) const {
   obs::ScopedSpan span("oracle.prepared-safe");
-  bool result = true;
-  visit_intersection(a_, b, [&](std::size_t w1) {
-    if (!result) return;
-    for (const FiniteSet& cls : classes_[w1]) {
-      if (cls.disjoint_with(b)) {
-        result = false;
-        return;
+  if (b.universe_size() != a_.universe_size()) {
+    throw std::invalid_argument("PreparedAudit::safe: mismatched universes");
+  }
+  // A word loop over A ∩ B rather than visit_intersection, whose callback
+  // cannot stop the scan at the first class B misses.
+  const std::uint64_t* a_words = a_.word_data();
+  const std::uint64_t* b_words = b.word_data();
+  auto in_b = [&](std::uint32_t e) { return b.contains(e); };
+  for (std::size_t j = 0; j < a_.word_count(); ++j) {
+    for (std::uint64_t both = a_words[j] & b_words[j]; both != 0;
+         both &= both - 1) {
+      const std::size_t w1 = j * bits::kWordBits + std::countr_zero(both);
+      const auto [first, last] = class_range(w1);
+      for (std::uint32_t c = first; c < last; ++c) {
+        if (std::ranges::none_of(class_worlds(c), in_b)) return false;
       }
     }
-  });
-  return result;
-}
-
-std::size_t IntervalOracle::PreparedAudit::class_count() const {
-  std::size_t total = 0;
-  for (const auto& per_world : classes_) total += per_world.size();
-  return total;
+  }
+  return true;
 }
 
 IntervalOracle::IncrementalSafe::IncrementalSafe(
     std::shared_ptr<const PreparedAudit> prepared)
-    : prepared_(std::move(prepared)) {
-  if (!prepared_) {
-    throw std::invalid_argument("IncrementalSafe: null prepared audit");
-  }
-  const FiniteSet& a = prepared_->audit_set();
-  const std::size_t m = a.universe_size();
-  first_class_.assign(m, 0);
-  class_count_.assign(m, 0);
-  inverted_.assign(m, {});
-  a.visit([&](std::size_t w1) {
-    first_class_[w1] = owner_.size();
-    const std::vector<FiniteSet>& classes = prepared_->classes(w1);
-    class_count_[w1] = classes.size();
-    for (const FiniteSet& cls : classes) {
-      const std::size_t c = owner_.size();
-      owner_.push_back(w1);
-      cls.visit([&](std::size_t e) {
-        inverted_[e].push_back(static_cast<std::uint32_t>(c));
-      });
-    }
-  });
-}
+    : prepared_(std::move(prepared)),
+      missed_(non_null(prepared_).audit_set().universe_size()) {}
 
 void IntervalOracle::IncrementalSafe::reset(const FiniteSet& s) {
-  const FiniteSet& a = prepared_->audit_set();
+  const PreparedAudit& prepared = *prepared_;
+  const FiniteSet& a = prepared.audit_set();
   if (s.universe_size() != a.universe_size()) {
     throw std::invalid_argument("IncrementalSafe: mismatched universes");
   }
-  counts_.assign(owner_.size(), 0);
-  zero_classes_.assign(a.universe_size(), 0);
-  active_.assign(a.universe_size(), 0);
-  active_count_ = 0;
-  violating_ = 0;
-  a.visit([&](std::size_t w1) {
-    if (s.contains(w1)) {
-      active_[w1] = 1;
-      ++active_count_;
-    }
-    const std::vector<FiniteSet>& classes = prepared_->classes(w1);
-    for (std::size_t k = 0; k < classes.size(); ++k) {
-      const std::size_t c = first_class_[w1] + k;
-      counts_[c] = intersection_count(classes[k], s);
-      if (counts_[c] == 0) ++zero_classes_[w1];
-    }
-    if (active_[w1] && zero_classes_[w1] > 0) ++violating_;
-  });
+  counts_.assign(prepared.singleton_classes() ? 0 : prepared.class_count(), 0);
+  missed_ = FiniteSet(a.universe_size());
+  for (std::uint32_t c = 0; c < prepared.class_count(); ++c) {
+    const auto count = static_cast<std::uint32_t>(std::ranges::count_if(
+        prepared.class_worlds(c), [&](std::uint32_t e) { return s.contains(e); }));
+    if (!counts_.empty()) counts_[c] = count;
+    if (count == 0) missed_.insert(prepared.class_owner(c));
+  }
+  active_count_ = intersection_count(a, s);
+  violating_ = intersection_count(missed_, s);  // missed_ ⊆ A
   current_ = s;
 }
 
 bool IntervalOracle::IncrementalSafe::shrink_to(const FiniteSet& s) {
   if (!current_ || !s.subset_of(*current_)) return false;
-  if (s == *current_) return true;
-  const FiniteSet& a = prepared_->audit_set();
-  const FiniteSet removed = *current_ - s;
-  removed.visit([&](std::size_t e) {
-    // e left S. Delta classes live in Omega − A and activity tracks A ∩ S,
-    // so exactly one of the two branches applies.
-    if (a.contains(e)) {
-      if (active_[e]) {
-        active_[e] = 0;
-        --active_count_;
-        if (zero_classes_[e] > 0) --violating_;
-      }
-      return;
+  const PreparedAudit& prepared = *prepared_;
+  const std::uint64_t* before = current_->word_data();
+  const std::uint64_t* after = s.word_data();
+  const std::uint64_t* in_a = prepared.audit_set().word_data();
+  // Visits the worlds leaving S, either those of A or those outside it,
+  // without materializing current − s.
+  auto visit_removed = [&](bool of_a, auto&& fn) {
+    for (std::size_t j = 0; j < s.word_count(); ++j) {
+      const std::uint64_t removed =
+          before[j] & ~after[j] & (of_a ? in_a[j] : ~in_a[j]);
+      bits::for_each_bit(&removed, 1, [&](std::size_t bit) {
+        fn(j * bits::kWordBits + bit);
+      });
     }
-    for (const std::uint32_t c : inverted_[e]) {
-      if (--counts_[c] == 0) {
-        const std::size_t w1 = owner_[c];
-        if (++zero_classes_[w1] == 1 && active_[w1]) ++violating_;
-      }
+  };
+  // Worlds of A leave first, so the class pass below sees A ∩ s as the
+  // active set. No class contains a world of A.
+  visit_removed(true, [&](std::size_t w1) {
+    --active_count_;
+    if (missed_.contains(w1)) --violating_;
+  });
+  visit_removed(false, [&](std::size_t e) {
+    for (const std::uint32_t c : prepared.classes_containing(e)) {
+      if (!counts_.empty() && --counts_[c] != 0) continue;
+      const std::uint32_t w1 = prepared.class_owner(c);
+      if (missed_.contains(w1)) continue;
+      missed_.insert(w1);
+      if (s.contains(w1)) ++violating_;
     }
   });
   current_ = s;

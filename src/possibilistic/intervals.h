@@ -2,7 +2,8 @@
 // second-level knowledge (Section 4.1 of the paper: Definitions 4.4/4.7/4.11/
 // 4.13, Propositions 4.5/4.8/4.10, Corollaries 4.12/4.14).
 //
-// The Delta classes behind Cor. 4.12 come from one place, delta_partition:
+// The Delta classes behind Cor. 4.12 come from one place, as world ids
+// (delta_partition wraps them as sets, prepare stores them as they are):
 // a family with tight intervals may state them in closed form
 // (SigmaFamily::tight_delta_classes, e.g. the subcube family's
 // minimality sweep); every other family goes through the minimal-interval
@@ -14,7 +15,9 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "possibilistic/sigma_family.h"
@@ -74,28 +77,64 @@ class IntervalOracle {
   std::optional<std::vector<FiniteSet>> beta(const FiniteSet& a) const;
 
   /// Precomputed per-world Delta classes for a fixed audit query A, enabling
-  /// O(|classes|) auditing of each disclosed B (Corollary 4.12).
+  /// O(|classes|) auditing of each disclosed B (Corollary 4.12). The one
+  /// layout of the classes, shared read-only by every IncrementalSafe built
+  /// over it: flat arrays of world ids, sized by the classes rather than by
+  /// one 2^n-bit set per class.
   class PreparedAudit {
    public:
-    /// Corollary 4.12 applied with the precomputed classes.
+    /// Corollary 4.12 applied with the precomputed classes: bit tests on B,
+    /// returning at the first class B misses.
     bool safe(const FiniteSet& b) const;
 
     /// Total number of stored equivalence classes (for reporting).
-    std::size_t class_count() const;
+    std::size_t class_count() const { return class_owners_.size(); }
+    /// Every class is a single world — the tight-interval case (Cor. 4.14).
+    bool singleton_classes() const {
+      return class_worlds_.size() == class_owners_.size();
+    }
 
     /// The audit query the structure was prepared for.
     const FiniteSet& audit_set() const { return a_; }
-    /// Delta_K(Omega − A, w) for w ∈ A (empty for worlds outside A).
-    const std::vector<FiniteSet>& classes(std::size_t w) const {
-      return classes_[w];
+    /// The ids [first, last) of Delta_K(Omega − A, w)'s classes, in
+    /// delta_partition's order (empty for worlds outside A ∩ C).
+    std::pair<std::uint32_t, std::uint32_t> class_range(std::size_t w) const {
+      return {world_offsets_[w], world_offsets_[w + 1]};
+    }
+    /// Class c's worlds, ascending.
+    std::span<const std::uint32_t> class_worlds(std::uint32_t c) const {
+      return span_of(class_worlds_, class_offsets_, c);
+    }
+    /// The world w1 ∈ A that class c belongs to.
+    std::uint32_t class_owner(std::uint32_t c) const { return class_owners_[c]; }
+    /// The inverted index: the ids of every class containing world e,
+    /// ascending (empty for e ∈ A — the classes live in Omega − A).
+    std::span<const std::uint32_t> classes_containing(std::size_t e) const {
+      return span_of(containing_, containing_offsets_, e);
     }
 
    private:
     friend class IntervalOracle;
     explicit PreparedAudit(FiniteSet a) : a_(std::move(a)) {}
+    /// The CSR row `row` of (`values`, `offsets`).
+    static std::span<const std::uint32_t> span_of(
+        const std::vector<std::uint32_t>& values,
+        const std::vector<std::uint32_t>& offsets, std::size_t row) {
+      return {values.data() + offsets[row], values.data() + offsets[row + 1]};
+    }
+
     FiniteSet a_;
-    // classes_[w] = Delta_K(Omega - A, w) for w in A (empty otherwise).
-    std::vector<std::vector<FiniteSet>> classes_;
+    /// World w's classes are [world_offsets_[w], world_offsets_[w + 1]).
+    std::vector<std::uint32_t> world_offsets_;
+    /// Class c's worlds are class_worlds_[class_offsets_[c] ..
+    /// class_offsets_[c + 1]); class_owners_[c] is the w1 it belongs to.
+    std::vector<std::uint32_t> class_offsets_;
+    std::vector<std::uint32_t> class_worlds_;
+    std::vector<std::uint32_t> class_owners_;
+    /// World e lies in the classes
+    /// containing_[containing_offsets_[e] .. containing_offsets_[e + 1]).
+    std::vector<std::uint32_t> containing_offsets_;
+    std::vector<std::uint32_t> containing_;
   };
 
   /// Builds the precomputed audit structure for audit query A.
@@ -106,17 +145,20 @@ class IntervalOracle {
   /// disclosure only intersects S (Prop. 3.10). Where PreparedAudit::safe
   /// rescans every w1 ∈ A ∩ S and every Δ-class per call, this keeps
   ///
-  ///   counts[c]       = |Δ-class c ∩ S|        (flattened over all w1)
-  ///   zero_classes[w] = #{classes of w1=w with empty intersection}
-  ///   violating       = #{w1 ∈ A ∩ S with zero_classes > 0}
+  ///   counts[c]  = |Δ-class c ∩ S|   (none when every class is a
+  ///                                     singleton {e}: it is empty
+  ///                                     exactly when e ∉ S)
+  ///   missed     = {w1 ∈ A : some class of w1 is disjoint with S}
+  ///   violating  = |A ∩ S ∩ missed|
   ///
-  /// and updates them from an inverted world → classes index in
-  /// O(|S − S'| × degree) per shrink. safe() is then O(1):
-  /// Safe_K(A, S) ⇔ violating == 0 (some active w1 has a class disjoint
-  /// with S exactly when it is counted in `violating`). Δ-classes live in
-  /// Ω − A while activity tracks A ∩ S, so the two update paths never
-  /// interact. Not thread-safe; callers serialize (the service does, under
-  /// the session mutex).
+  /// and updates them through the prepared audit's inverted world → classes
+  /// index in O(|S − S'| × degree) per shrink. Counts only fall while S
+  /// shrinks, so `missed` only grows. safe() is then O(1):
+  /// Safe_K(A, S) ⇔ violating == 0. Δ-classes live in Ω − A while activity
+  /// tracks A ∩ S, so the two update paths never interact. The class layout
+  /// itself stays in the shared PreparedAudit; a session holds only these
+  /// counters and its current set. Not thread-safe; callers serialize (the
+  /// service does, under the session mutex).
   class IncrementalSafe {
    public:
     /// Keeps `prepared` alive for the index's lifetime.
@@ -124,8 +166,8 @@ class IntervalOracle {
         std::shared_ptr<const PreparedAudit> prepared);
 
     /// Re-derives every counter for disclosure set `s` from scratch —
-    /// O(total class size). Used on first sight of a session's S and as
-    /// the fallback when shrink_to is handed a non-subset.
+    /// O(total class size) bit tests. Used on first sight of a session's S
+    /// and as the fallback when shrink_to is handed a non-subset.
     void reset(const FiniteSet& s);
 
     /// Updates the counters from the current set to `s`. Requires s ⊆
@@ -146,22 +188,24 @@ class IntervalOracle {
 
    private:
     std::shared_ptr<const PreparedAudit> prepared_;
-    /// Flattened class layout: class c belongs to world owner_[c]; the
-    /// inverted index lists, per world e ∈ Ω − A, every class containing e.
-    std::vector<std::size_t> owner_;
-    std::vector<std::vector<std::uint32_t>> inverted_;
-    std::vector<std::size_t> first_class_;  ///< per-world flat range start
-    std::vector<std::size_t> class_count_;  ///< per-world class count
-
+    FiniteSet missed_;  ///< w1 ∈ A with a class of count 0
     std::optional<FiniteSet> current_;
-    std::vector<std::size_t> counts_;        ///< |class ∩ current|
-    std::vector<std::size_t> zero_classes_;  ///< per w1 ∈ A
-    std::vector<char> active_;               ///< w1 ∈ A ∩ current
-    std::size_t active_count_ = 0;
-    std::size_t violating_ = 0;
+    /// |class ∩ current| per class id; empty for singleton classes.
+    std::vector<std::uint32_t> counts_;
+    std::size_t active_count_ = 0;       ///< |A ∩ current|
+    std::size_t violating_ = 0;          ///< |A ∩ current ∩ missed|
   };
 
  private:
+  /// Delta_K(X, w1) as world ids — the one producer behind delta_partition
+  /// and prepare: appends each class's ascending worlds to `worlds` and the
+  /// class's end offset to `offsets`, in delta_partition's order. Appends
+  /// nothing unless w1 ∈ C (condition (14)). Takes the family's closed form
+  /// when it has one, else scans minimal_intervals.
+  void append_delta_classes(const FiniteSet& x, std::size_t w1,
+                            std::vector<std::uint32_t>& worlds,
+                            std::vector<std::uint32_t>& offsets) const;
+
   std::shared_ptr<const SigmaFamily> sigma_;
   FiniteSet c_;
   mutable std::mutex cache_mutex_;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <ostream>
 #include <sstream>
+#include <string>
 #include <unordered_map>
 
 #include "core/audit_log.h"
@@ -284,7 +285,9 @@ void check_sigma_intervals(Rng& rng, const ModelCheckOptions& opt,
   complain("safe_all_intervals (Prop. 4.5)", io.safe_all_intervals(a, b));
   complain("safe_minimal_intervals (Cor. 4.12)",
            io.safe_minimal_intervals(a, b));
-  complain("PreparedAudit::safe (Cor. 4.12, amortized)", io.prepare(a).safe(b));
+  const auto prepared =
+      std::make_shared<const IntervalOracle::PreparedAudit>(io.prepare(a));
+  complain("PreparedAudit::safe (Cor. 4.12, amortized)", prepared->safe(b));
 
   // Corollary 4.14 where the family is tight: Safe iff beta(w1) subseteq B
   // for every w1 in A cap B.
@@ -304,6 +307,57 @@ void check_sigma_intervals(Rng& rng, const ModelCheckOptions& opt,
       complain("beta margin (Cor. 4.14)", via_beta);
     }
   }
+
+  // Cor. 4.12 kept incrementally, as a streaming session keeps it: reset to
+  // S = B, shrink S a few times, then hand the index one non-subset, which
+  // it must refuse untouched, and reset it there. Every step holds
+  // IncrementalSafe to the prepared rescan and to Def. 3.1 over (A, S).
+  IntervalOracle::IncrementalSafe index(prepared);
+  auto check_step = [&](const std::string& step, const FiniteSet& cur) {
+    const bool want = oracle_possibilistic(k, a, cur).safe;
+    const bool empty = (a & cur).is_empty();
+    if (index.safe() == want && prepared->safe(cur) == want &&
+        index.active_empty() == empty && index.current() == cur) {
+      return;
+    }
+    std::ostringstream os;
+    os << "IncrementalSafe after " << step << " says "
+       << (index.safe() ? "safe" : "unsafe") << " (active_empty "
+       << index.active_empty() << "), PreparedAudit::safe says "
+       << (prepared->safe(cur) ? "safe" : "unsafe") << ", Def. 3.1 over " << kind
+       << " K says " << (want ? "safe" : "unsafe") << " (A ∩ S empty "
+       << empty << "); C=" << c.to_string() << " " << pair_text(a, cur)
+       << " (B is S)";
+    out.push_back(os.str());
+  };
+  FiniteSet s = b;
+  index.reset(s);
+  check_step("reset", s);
+  const std::size_t shrinks = 1 + rng.next_below(4);
+  for (std::size_t i = 1; i <= shrinks; ++i) {
+    s = s & random_finite_set(rng, m);
+    const std::string step = "shrink " + std::to_string(i);
+    if (!index.shrink_to(s)) {
+      out.push_back("IncrementalSafe refused " + step + " to a subset; C=" +
+                    c.to_string() + " " + pair_text(a, s));
+      return;
+    }
+    check_step(step, s);
+  }
+  const FiniteSet outside = ~s;
+  if (outside.is_empty()) return;
+  std::vector<std::size_t> candidates;
+  outside.visit([&](std::size_t w) { candidates.push_back(w); });
+  FiniteSet grown = s;
+  grown.insert(candidates[rng.next_below(candidates.size())]);
+  if (index.shrink_to(grown)) {
+    out.push_back("IncrementalSafe accepted a non-subset; C=" + c.to_string() +
+                  " " + pair_text(a, grown));
+    return;
+  }
+  check_step("a refused non-subset", s);
+  index.reset(grown);
+  check_step("reset to the non-subset", grown);
 }
 
 // --- Checks 4/5 shared: sampled-family refutation of a Safe verdict ---------

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <memory>
+#include <vector>
 
 #include "possibilistic/intervals.h"
 #include "possibilistic/knowledge.h"
@@ -250,6 +252,43 @@ TEST(IntervalOracle, PreparedAuditMatchesDirect) {
   for (int trial = 0; trial < 30; ++trial) {
     FiniteSet b = FiniteSet::random(g.size(), rng, 0.5);
     EXPECT_EQ(prepared.safe(b), oracle.safe_minimal_intervals(a, b));
+  }
+}
+
+// The prepared layout is delta_partition's classes as world ids, with an
+// inverted index that lists, per world, exactly the classes holding it.
+TEST(IntervalOracle, PreparedLayoutMatchesDeltaPartitionAndInvertsIt) {
+  const Figure1 fig;
+  IntervalOracle oracle(make_rect_family(fig.grid),
+                        FiniteSet::universe(fig.grid.size()));
+  const IntervalOracle::PreparedAudit prepared = oracle.prepare(fig.a);
+  const std::size_t m = fig.grid.size();
+  std::vector<std::vector<std::uint32_t>> holders(m);
+  std::size_t total = 0;
+  for (std::size_t w1 = 0; w1 < m; ++w1) {
+    const std::vector<FiniteSet> want = oracle.delta_partition(fig.a_bar, w1);
+    const auto [first, last] = prepared.class_range(w1);
+    ASSERT_EQ(last - first, fig.a.contains(w1) ? want.size() : 0u)
+        << "w1=" << w1;
+    for (std::uint32_t c = first; c < last; ++c) {
+      EXPECT_EQ(prepared.class_owner(c), w1);
+      FiniteSet got(m);
+      for (const std::uint32_t e : prepared.class_worlds(c)) {
+        got.insert(e);
+        holders[e].push_back(c);
+      }
+      EXPECT_EQ(got, want[c - first]) << "w1=" << w1 << " class " << c - first;
+      EXPECT_EQ(got.count(), prepared.class_worlds(c).size());
+    }
+    total += last - first;
+  }
+  EXPECT_EQ(prepared.class_count(), total);
+  EXPECT_GT(total, 0u);
+  for (std::size_t e = 0; e < m; ++e) {
+    const auto containing = prepared.classes_containing(e);
+    EXPECT_EQ(std::vector<std::uint32_t>(containing.begin(), containing.end()),
+              holders[e])
+        << "e=" << e;
   }
 }
 

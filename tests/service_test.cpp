@@ -690,6 +690,8 @@ TEST(Service, ProcessManyMatchesSequentialProcess) {
   // Batch admission is a queueing optimization only: responses[i] must carry
   // the verdicts a sequential submit loop would produce for the same stream
   // (same-user requests keep their submission order through the queue).
+  // Under the subcube prior, sessions on the two workers read the Delta
+  // classes of a prepared audit they share.
   std::vector<AuditRequest> requests;
   for (const Replay& entry : replay_log()) {
     AuditRequest request;
@@ -699,22 +701,28 @@ TEST(Service, ProcessManyMatchesSequentialProcess) {
     requests.push_back(std::move(request));
   }
 
-  std::unique_ptr<AuditService> batched = make_service();
-  ASSERT_NE(batched, nullptr);
-  const std::vector<AuditResponse> batch = batched->process_many(requests);
+  for (const PriorAssumption prior :
+       {PriorAssumption::kProduct, PriorAssumption::kSubcubeKnowledge}) {
+    SCOPED_TRACE(::testing::Message() << "prior " << to_string(prior));
+    std::unique_ptr<AuditService> batched =
+        make_service(small_service_options(), prior);
+    ASSERT_NE(batched, nullptr);
+    const std::vector<AuditResponse> batch = batched->process_many(requests);
 
-  std::unique_ptr<AuditService> sequential = make_service();
-  ASSERT_NE(sequential, nullptr);
-  ASSERT_EQ(batch.size(), requests.size());
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    SCOPED_TRACE(::testing::Message() << "request[" << i << "]");
-    const AuditResponse want = sequential->process(requests[i]);
-    ASSERT_TRUE(batch[i].status.ok()) << batch[i].status.to_string();
-    ASSERT_TRUE(want.status.ok()) << want.status.to_string();
-    EXPECT_EQ(batch[i].answer, want.answer);
-    EXPECT_EQ(batch[i].sequence, want.sequence);
-    expect_same_finding(batch[i].disclosure, want.disclosure);
-    expect_same_finding(batch[i].cumulative, want.cumulative);
+    std::unique_ptr<AuditService> sequential =
+        make_service(small_service_options(), prior);
+    ASSERT_NE(sequential, nullptr);
+    ASSERT_EQ(batch.size(), requests.size());
+    for (std::size_t i = 0; i < requests.size(); ++i) {
+      SCOPED_TRACE(::testing::Message() << "request[" << i << "]");
+      const AuditResponse want = sequential->process(requests[i]);
+      ASSERT_TRUE(batch[i].status.ok()) << batch[i].status.to_string();
+      ASSERT_TRUE(want.status.ok()) << want.status.to_string();
+      EXPECT_EQ(batch[i].answer, want.answer);
+      EXPECT_EQ(batch[i].sequence, want.sequence);
+      expect_same_finding(batch[i].disclosure, want.disclosure);
+      expect_same_finding(batch[i].cumulative, want.cumulative);
+    }
   }
 }
 
